@@ -7,6 +7,7 @@ Exit codes: 0 = verified/pass, 1 = mathematical property violated
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
@@ -18,6 +19,16 @@ from .rings import FootnoteAlgebra, PrimeField
 from .scan import run_scan
 from .suites import SUITES
 from .universal import synth_diag, synth_offdiag
+
+# `verify` flag -> suite keyword; a suite takes the flags whose keywords it
+# has, and its signature holds the defaults.
+SUITE_FLAGS = {
+    "n": "n_max",
+    "m": "m_max",
+    "ring": "ring_name",
+    "trials": "trials",
+    "seed": "seed",
+}
 
 
 def _print_minor_table(matrix, as_json: bool):
@@ -67,17 +78,20 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    suite = SUITES[args.suite]
+    takes = inspect.signature(suite).parameters
     kwargs = {}
-    if args.n is not None:
-        kwargs["n"] = args.n
-    if args.m is not None:
-        kwargs["m"] = args.m
-    if args.trials is not None:
-        kwargs["trials"] = args.trials
-    if args.ring is not None:
-        kwargs["ring"] = args.ring
-    kwargs["seed"] = args.seed
-    failures = SUITES[args.suite](**kwargs)
+    for flag, keyword in SUITE_FLAGS.items():
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        if keyword not in takes:
+            _usage_error(f"suite {args.suite} does not take --{flag}")
+        kwargs[keyword] = value
+    try:
+        failures = suite(**kwargs)
+    except ValueError as exc:
+        _usage_error(f"suite {args.suite}: {exc}")
     if failures:
         print(f"FAIL ({len(failures)} case(s)); first failing case:")
         print(f"  {failures[0]}")
@@ -203,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int)
     p.add_argument("--ring", choices=["int", "mod2", "mod4", "mod101"])
     p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser(

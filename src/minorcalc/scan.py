@@ -9,7 +9,6 @@ Z/4 the outcome is an open question, so those scans are exploratory.
 from __future__ import annotations
 
 import json
-import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -103,15 +102,6 @@ class ScanReport:
                 "absence of violations proves nothing"
             )
         return "\n".join(lines)
-
-
-def worker_count() -> int:
-    """Parallelism cap from MINOR_CALC_WORKERS (stream partitioning only;
-    the per-trial RNG keeps any partition deterministic)."""
-    try:
-        return max(1, int(os.environ.get("MINOR_CALC_WORKERS", "1")))
-    except ValueError:
-        return 1
 
 
 # -- fast integer-entry path (Z and Z/k) ------------------------------
@@ -225,15 +215,14 @@ def _scan_integer_entries(ring, n, m_max, mode, trials, seed, entry_bound):
                 candidates += 1
                 violations.extend(_power_violations(a, n, m_max, modulus, subsets))
         return scanned, candidates, violations
-    # random mode: per-trial RNG keyed by (seed, index) so any partition of
-    # the trial stream across workers reproduces the same results
+    # random mode: per-trial RNG keyed by (seed, index), so the report does
+    # not depend on how the trial stream is split
     if modulus is not None:
         entry = lambda rng: rng.randrange(modulus)
     else:
         entry = lambda rng: rng.randint(-entry_bound, entry_bound)
     for idx in range(trials):
-        # one RNG per trial so any partition of the stream across workers
-        # reproduces identical results; string seeding is hash-stable
+        # string seeding is hash-stable
         rng = random.Random(f"{seed}:{idx}")
         if idx % 4 == 3:
             # structured seed: unipotent upper triangular, all minors 1
@@ -295,8 +284,12 @@ def run_scan(
 ) -> ScanReport:
     if mode not in ("exhaustive", "random"):
         raise ValueError(f"unknown scan mode {mode!r}")
+    if n < 1:
+        raise ValueError("n must be at least 1")
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
+    if mode == "random" and trials < 1:
+        raise ValueError("random mode needs at least 1 trial")
     ring = ring_from_spec(ring_spec)
     t0 = time.monotonic()
     if isinstance(ring, FootnoteAlgebra):

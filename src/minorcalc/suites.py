@@ -45,9 +45,18 @@ def random_matrix(ring: Ring, n: int, rng: random.Random, bound: int = 9) -> Mat
     )
 
 
+def _require_at_least(**bounds):
+    """Reject out-of-range sizes before any work starts; each keyword maps
+    a parameter name to (value, least allowed value)."""
+    for name, (value, least) in bounds.items():
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
 def suite_symbolic(n_max: int = 3, m_max: int = 4, extra=((4, 2),)) -> list[str]:
     """Exact polynomial identity of the synthesized universal polynomials
     against powers of the generic matrix."""
+    _require_at_least(n_max=(n_max, 1), m_max=(m_max, 0))
     failures = []
     grid = [(n, m) for n in range(1, n_max + 1) for m in range(m_max + 1)]
     for n4, m4 in extra or ():
@@ -67,6 +76,7 @@ def suite_random(
     m_max: int = 6,
 ) -> list[str]:
     """eval_universal against the matrix-power oracle on random matrices."""
+    _require_at_least(trials=(trials, 1), n_max=(n_max, 1), m_max=(m_max, 0))
     ring = DEFAULT_RINGS[ring_name]
     rng = random.Random(seed)
     failures = []
@@ -90,6 +100,7 @@ def suite_random(
 def suite_all_ones(n_max: int = 5, m_max: int = 8) -> list[str]:
     """Evaluating each universal polynomial with every minor symbol set to
     1 must give 1."""
+    _require_at_least(n_max=(n_max, 1), m_max=(m_max, 0))
     ring = IntegerRing()
     failures = []
     for n in range(1, n_max + 1):
@@ -111,6 +122,7 @@ def suite_offdiag(
 ) -> list[str]:
     """Certificates against the matrix-power oracle, plus the symbolic
     sign validation of the quasiprincipal expansion."""
+    _require_at_least(trials=(trials, 1), n_max=(n_max, 2), m_max=(m_max, 0))
     failures = offdiag_sign_check(n_max)
     for ring_name in ring_names:
         ring = DEFAULT_RINGS[ring_name]
@@ -181,6 +193,7 @@ def offdiag_sign_check(n_max: int = 4) -> list[str]:
 def suite_adjugate(trials: int = 50, seed: int = 0, n_max: int = 4) -> list[str]:
     """B * adj(B) = adj(B) * B = det(B) * I on random matrices over Z,
     Z/4 and the counterexample algebra."""
+    _require_at_least(trials=(trials, 1), n_max=(n_max, 0))
     rings = [IntegerRing(), ModularRing(4), FootnoteAlgebra()]
     failures = []
     for ring in rings:
@@ -200,6 +213,7 @@ def suite_adjugate(trials: int = 50, seed: int = 0, n_max: int = 4) -> list[str]
 def suite_charpoly(m_max: int = 4) -> list[str]:
     """det(B + z*I_m) = sum over P of det(sub_P^P B) * z^(m-|P|) as an
     identity over Z[x{1,1}..x{m,m}][z], checked by expanding both sides."""
+    _require_at_least(m_max=(m_max, 0))
     failures = []
     z = Polynomial.variable("z")
     for m in range(m_max + 1):
@@ -218,6 +232,7 @@ def suite_diagonal_sum(n_max: int = 3) -> list[str]:
     """det(C + D) for diagonal D: the subset expansion into principal
     minors of C times products of the complementary diagonal entries,
     checked symbolically."""
+    _require_at_least(n_max=(n_max, 0))
     failures = []
     for n in range(n_max + 1):
         C = generic_matrix(n)
@@ -244,26 +259,11 @@ def suite_diagonal_sum(n_max: int = 3) -> list[str]:
 
 
 SUITES = {
-    "symbolic": lambda **kw: suite_symbolic(
-        n_max=kw.get("n", 3), m_max=kw.get("m", 4), extra=kw.get("extra", ((4, 2),))
-    ),
-    "random": lambda **kw: suite_random(
-        ring_name=kw.get("ring", "mod4"),
-        trials=kw.get("trials", 200),
-        seed=kw.get("seed", 0),
-        n_max=kw.get("n", 5),
-        m_max=kw.get("m", 6),
-    ),
-    "all-ones": lambda **kw: suite_all_ones(n_max=kw.get("n", 5), m_max=kw.get("m", 8)),
-    "offdiag": lambda **kw: suite_offdiag(
-        trials=kw.get("trials", 100),
-        seed=kw.get("seed", 0),
-        n_max=kw.get("n", 4),
-        m_max=kw.get("m", 4),
-    ),
-    "adjugate": lambda **kw: suite_adjugate(
-        trials=kw.get("trials", 50), seed=kw.get("seed", 0), n_max=kw.get("n", 4)
-    ),
-    "charpoly": lambda **kw: suite_charpoly(m_max=kw.get("m", 4)),
-    "diagonal-sum": lambda **kw: suite_diagonal_sum(n_max=kw.get("n", 3)),
+    "symbolic": suite_symbolic,
+    "random": suite_random,
+    "all-ones": suite_all_ones,
+    "offdiag": suite_offdiag,
+    "adjugate": suite_adjugate,
+    "charpoly": suite_charpoly,
+    "diagonal-sum": suite_diagonal_sum,
 }

@@ -2,14 +2,16 @@
 diagonal entries of A^m in the principal minors of A, and of the
 off-diagonal certificates in terms of quasiprincipal minors.
 
-The construction works with truncated power series over Z[p{S}]:
+The construction works with power series in t over Z[p{S}]:
 
 * d(t)  = sum over P of (-1)^|P| p{P} t^|P|        (det of I - tA),
 * a(t)  = the same sum over subsets of [n-1], reindexed around i
           (the (i,i) entry of adj(I - tA)),
 
-and the t^m coefficient of d(t)^-1 * a(t) is the wanted polynomial,
-because the t^m coefficient of ((I - tA)^-1)_{i,i} is (A^m)_{i,i}.
+and the t^m coefficient f_m of f(t) = a(t) / d(t) is the wanted
+polynomial, because the t^m coefficient of ((I - tA)^-1)_{i,i} is
+(A^m)_{i,i}.  Since d has degree n and d_0 = 1, the division is the
+order-n recurrence f_k = a_k - sum_{j=1..n} d_j f_{k-j}.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from functools import lru_cache
 from .matrix import Matrix, Subset, all_subsets, diag_reindex, quasiprincipal_minor
 from .poly import POLY_RING, Polynomial, pvar, qvar, xvar
 from .rings import Ring
-from .series import TruncatedSeries
 
 
 @dataclass(frozen=True)
@@ -100,33 +101,27 @@ def _p_symbol(subset: Subset) -> Polynomial:
     return Polynomial.variable(pvar(subset.members()))
 
 
-def _det_series_coeffs(n: int, order: int) -> list[Polynomial]:
-    """Coefficients of d(t): c_k = (-1)^k * sum of p{P} over |P| = k."""
-    coeffs = [Polynomial({}) for _ in range(order + 1)]
-    for subset in all_subsets(n):
+def _signed_minor_sums(subsets) -> list[Polynomial]:
+    """Series coefficients c_k = (-1)^k * sum of p{P} over the given
+    subsets P with |P| = k."""
+    coeffs = [Polynomial({}) for _ in range(max(map(len, subsets)) + 1)]
+    for subset in subsets:
         k = len(subset)
-        if k > order:
-            continue
         term = _p_symbol(subset)
-        if k & 1:
-            term = -term
-        coeffs[k] = coeffs[k] + term
+        coeffs[k] = coeffs[k] + (-term if k & 1 else term)
     return coeffs
 
 
-def _adj_diag_series_coeffs(n: int, i: int, order: int) -> list[Polynomial]:
-    """Coefficients of a(t): the subset sum over [n-1] with each subset
-    reindexed around the removed row/column i."""
-    coeffs = [Polynomial({}) for _ in range(order + 1)]
-    for subset in all_subsets(n - 1):
-        k = len(subset)
-        if k > order:
-            continue
-        term = _p_symbol(diag_reindex(subset, i))
-        if k & 1:
-            term = -term
-        coeffs[k] = coeffs[k] + term
-    return coeffs
+def _series_quotient(d: list, a: list, m: int) -> list[Polynomial]:
+    """Coefficients f_0..f_m of a(t) / d(t) for d_0 = 1, by the recurrence
+    f_k = a_k - sum_{j=1..deg d} d_j f_{k-j}."""
+    f = []
+    for k in range(m + 1):
+        acc = a[k] if k < len(a) else Polynomial({})
+        for j in range(1, min(k, len(d) - 1) + 1):
+            acc = acc - d[j] * f[k - j]
+        f.append(acc)
+    return f
 
 
 @lru_cache(maxsize=None)
@@ -136,10 +131,9 @@ def synth_diag(n: int, i: int, m: int) -> UniversalPolynomial:
         raise ValueError(f"index i={i} outside [n]={list(range(1, n + 1))}")
     if m < 0:
         raise ValueError("m must be nonnegative")
-    d = TruncatedSeries(POLY_RING, m, _det_series_coeffs(n, m))
-    a = TruncatedSeries(POLY_RING, m, _adj_diag_series_coeffs(n, i, m))
-    body = (d.inverse() * a).coefficient(m)
-    return UniversalPolynomial(n, i, m, body)
+    d = _signed_minor_sums(all_subsets(n))
+    a = _signed_minor_sums([diag_reindex(P, i) for P in all_subsets(n - 1)])
+    return UniversalPolynomial(n, i, m, _series_quotient(d, a, m)[m])
 
 
 def eval_universal(U: UniversalPolynomial, table, ring: Ring):
@@ -193,41 +187,29 @@ def offdiag_series_coeffs(n: int, i: int, j: int, order: int) -> list[Polynomial
 @lru_cache(maxsize=None)
 def synth_offdiag(n: int, i: int, j: int, m: int) -> OffDiagCertificate:
     """Certificate expressing (A^m)_{i,j} as a sum of products of
-    p-polynomials and (i,j)-quasiprincipal minors."""
+    p-polynomials and (i,j)-quasiprincipal minors.
+
+    Each P containing i and j contributes its signed symbol from
+    offdiag_series_coeffs at t^(|P|-1), so dividing by d(t) gives that
+    symbol the t^(m-|P|+1) coefficient of 1/d(t).  Terms follow the
+    variable order of q{I|J}: by |I|, then I, then J."""
     if n < 1 or not 1 <= i <= n or not 1 <= j <= n:
         raise ValueError(f"indices ({i},{j}) outside [n]={list(range(1, n + 1))}")
     if i == j:
         raise ValueError("i and j must be distinct; use synth_diag for the diagonal")
     if m < 0:
         raise ValueError("m must be nonnegative")
-    if m == 0:
-        return OffDiagCertificate(n, i, j, m, ())
-    d = TruncatedSeries(POLY_RING, m, _det_series_coeffs(n, m))
-    a_off = TruncatedSeries(POLY_RING, m, offdiag_series_coeffs(n, i, j, m))
-    poly = (d.inverse() * a_off).coefficient(m)
-    grouped: dict = {}
-    for mono, coeff in poly.terms.items():
-        q_parts = [(v, e) for v, e in mono if v.startswith("q{")]
-        if len(q_parts) != 1 or q_parts[0][1] != 1:
-            raise AssertionError(f"monomial {mono} is not linear in one q-symbol")
-        qname = q_parts[0][0]
-        rest = tuple(ve for ve in mono if ve[0] != qname)
-        grouped.setdefault(qname, {})[rest] = coeff
+    # 1/d(t) up to t^(m-1): every P has |P| >= 2
+    g = _series_quotient(_signed_minor_sums(all_subsets(n)), [Polynomial.constant(1)], m - 1)
     terms = []
-    for qname in sorted(grouped, key=_qvar_sort_key):
-        left, right = qname[2:-1].split("|")
-        I = Subset.of(n, (int(s) for s in left.split(",")))
-        J = Subset.of(n, (int(s) for s in right.split(",")))
-        coeff = Polynomial(grouped[qname])
-        if not coeff.is_zero():
-            terms.append((coeff, (I, J)))
+    for P in all_subsets(n):
+        k = len(P) - 1
+        if i in P and j in P and k <= m:
+            sign = quasi_sign(P, i, j) * (-1 if k & 1 else 1)
+            coeff = g[m - k] if sign > 0 else -g[m - k]
+            terms.append((coeff, (P.without(j), P.without(i))))
+    terms.sort(key=lambda t: (len(t[1][0]), t[1][0].members(), t[1][1].members()))
     return OffDiagCertificate(n, i, j, m, tuple(terms))
-
-
-def _qvar_sort_key(name: str):
-    from .poly import var_key
-
-    return var_key(name)
 
 
 def eval_certificate(cert: OffDiagCertificate, A: Matrix):

@@ -112,6 +112,26 @@ class TestVerify:
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "random", "--n", "0"],
+        ["verify", "offdiag", "--n", "1"],
+        ["verify", "symbolic", "--n", "-1"],
+        ["verify", "charpoly", "--ring", "mod4"],
+        ["scan", "--ring", "mod:4", "--n", "3", "--mode", "random", "--trials", "-5"],
+        ["scan", "--ring", "mod:2", "--n", "0"],
+    ],
+)
+def test_out_of_range_input_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
 class TestExampleCD:
     def test_symbolic(self, capsys):
         rc = main(["example-cd"])

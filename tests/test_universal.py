@@ -2,14 +2,16 @@ import random
 
 import pytest
 
-from minorcalc.matrix import Matrix, Subset, all_subsets
-from minorcalc.poly import POLY_RING, Polynomial, pvar
+from minorcalc.matrix import Matrix, Subset, all_subsets, diag_reindex
+from minorcalc.poly import POLY_RING, Polynomial, pvar, qvar, var_key
 from minorcalc.rings import IntegerRing, ModularRing, PrimeField
+from minorcalc.series import TruncatedSeries
 from minorcalc.universal import (
     OffDiagCertificate,
     eval_certificate,
     eval_universal,
     generic_matrix,
+    offdiag_series_coeffs,
     synth_diag,
     synth_offdiag,
     verify_symbolic,
@@ -241,3 +243,44 @@ def test_all_ones_collapse_small():
     from minorcalc.suites import suite_all_ones
 
     assert suite_all_ones(n_max=3, m_max=5) == []
+
+
+def _minor_series(subsets, order):
+    """sum of (-1)^|S| p{S} t^|S| over the subsets, truncated at t^order."""
+    coeffs = [POLY_RING.zero()] * (order + 1)
+    for S in subsets:
+        if len(S) <= order:
+            symbol = P(pvar(S.members())) if len(S) else POLY_RING.one()
+            coeffs[len(S)] = coeffs[len(S)] + (-1) ** len(S) * symbol
+    return TruncatedSeries(POLY_RING, order, coeffs)
+
+
+class TestSeriesInverseOracle:
+    """Synthesis against the slower construction through the inverse of
+    the determinant series and a full series product."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_diag(self, n):
+        for m in range(7):
+            d_inv = _minor_series(all_subsets(n), m).inverse()
+            for i in range(1, n + 1):
+                a = _minor_series([diag_reindex(S, i) for S in all_subsets(n - 1)], m)
+                assert synth_diag(n, i, m).body == (d_inv * a).coefficient(m)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_offdiag(self, n):
+        for m in range(5):
+            d_inv = _minor_series(all_subsets(n), m).inverse()
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
+                    if i == j:
+                        continue
+                    a_off = TruncatedSeries(POLY_RING, m, offdiag_series_coeffs(n, i, j, m))
+                    cert = synth_offdiag(n, i, j, m)
+                    names = [qvar(I.members(), J.members()) for _, (I, J) in cert.terms]
+                    assert names == sorted(names, key=var_key)
+                    total = sum(
+                        (coeff * P(q) for (coeff, _), q in zip(cert.terms, names)),
+                        Polynomial({}),
+                    )
+                    assert total == (d_inv * a_off).coefficient(m)
