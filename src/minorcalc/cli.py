@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 = verified/pass, 1 = mathematical property violated
-(counterexample found / suite failure), 2 = usage or input error.
+(counterexample found / suite failure), 2 = usage or input error
+(including sizes above ``matrix.MAX_SIZE``), 3 = internal error.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import json
 import sys
 
 from .demos import CD_VARS, cd_compare, cd_compare_ints, counterexample_check
-from .matrix import all_subsets
+from .matrix import require_size
 from .matrixio import load_matrix_file
 from .poly import POLY_RING
 from .rings import FootnoteAlgebra, PrimeField
@@ -45,17 +46,12 @@ def _print_minor_table(matrix, as_json: bool):
 
 
 def _cmd_minors(args) -> int:
-    matrix = _load_matrix_or_die(args.matrix)
-    if not matrix.is_square:
-        _usage_error("matrix must be square")
-    _print_minor_table(matrix, args.json)
+    _print_minor_table(_load_matrix_or_die(args.matrix), args.json)
     return 0
 
 
 def _cmd_pow_minors(args) -> int:
     matrix = _load_matrix_or_die(args.matrix)
-    if not matrix.is_square:
-        _usage_error("matrix must be square")
     if args.m < 0:
         _usage_error("power must be nonnegative")
     _print_minor_table(matrix.pow(args.m), args.json)
@@ -172,9 +168,11 @@ def _cmd_scan(args) -> int:
 
 def _load_matrix_or_die(path: str):
     try:
-        return load_matrix_file(path)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        matrix = load_matrix_file(path)
+        require_size("matrix size", matrix.nrows, 0)
+    except (OSError, ValueError) as exc:
         _usage_error(f"cannot read matrix from {path}: {exc}")
+    return matrix
 
 
 def _usage_error(message: str):
@@ -266,6 +264,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return 0
+    except Exception as exc:
+        # 1 means "property violated", so a crash must not exit with it
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -9,10 +9,21 @@ works over every ring instance (Z/4, the counterexample algebra, ...).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator
 
 from .rings import Ring
+
+# The largest n accepted by the commands and suites that enumerate all
+# 2^n principal minors or subsets of [n].
+MAX_SIZE = 8
+
+
+def require_size(name: str, n: int, least: int) -> None:
+    """Reject a size outside [least, MAX_SIZE] before any 2^n work starts."""
+    if not least <= n <= MAX_SIZE:
+        raise ValueError(f"{name} must be between {least} and {MAX_SIZE}, got {n}")
 
 
 @dataclass(frozen=True)
@@ -81,14 +92,15 @@ class Subset:
         return self.label()
 
 
-def all_subsets(n: int) -> list[Subset]:
+@lru_cache
+def all_subsets(n: int) -> tuple[Subset, ...]:
     """All 2^n subsets in canonical order: by size, then lexicographically
     on the sorted member tuples."""
-    out = []
-    for k in range(n + 1):
-        for combo in combinations(range(1, n + 1), k):
-            out.append(Subset.of(n, combo))
-    return out
+    return tuple(
+        Subset.of(n, combo)
+        for k in range(n + 1)
+        for combo in combinations(range(1, n + 1), k)
+    )
 
 
 class Matrix:

@@ -1,9 +1,11 @@
 """JSON (de)serialization of matrices and ring specifications.
 
 Schema: ``{"ring": {"kind": "int" | "mod" | "footnote", "modulus"?: k},
-"n": int, "entries": [[...]]}``.  Entries are integers (canonical
-residues for "mod"); for "footnote" they may also be coordinate
-6-vectors or the basis symbols "1", "x", "y", "x^2", "y^2", "x^3".
+"n": int, "entries": [[...]]}``.  Entries are integers (reduced mod k
+for "mod"); for "footnote" they may also be coordinate 6-vectors of
+integers or the basis symbols "1", "x", "y", "x^2", "y^2", "x^3".
+``n``, ``modulus``, entries and coordinates must be JSON integers, not
+floats, bools, strings or null; malformed input raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -40,41 +42,68 @@ def ring_to_json(ring: Ring) -> dict:
     raise ValueError(f"ring {ring.describe()} has no JSON form")
 
 
+def _json_int(value, what: str) -> int:
+    """`value` if it is a JSON integer; floats, bools, strings and null
+    are rejected."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
+def _field(data: dict, key: str, what: str):
+    if key not in data:
+        raise ValueError(f"{what} has no {key!r}")
+    return data[key]
+
+
 def ring_from_json(data: dict) -> Ring:
+    data = _json_object(data, "ring")
     kind = data.get("kind")
     if kind == "int":
         return IntegerRing()
     if kind == "mod":
-        return ModularRing(int(data["modulus"]))
+        return ModularRing(_json_int(_field(data, "modulus", "ring"), "modulus"))
     if kind == "footnote":
         if "modulus" in data:
-            return FootnoteAlgebra(PrimeField(int(data["modulus"])))
+            return FootnoteAlgebra(PrimeField(_json_int(data["modulus"], "modulus")))
         return FootnoteAlgebra()
     raise ValueError(f"unknown ring kind {kind!r}")
 
 
 def _footnote_entry(ring: FootnoteAlgebra, value):
-    if isinstance(value, int):
-        return ring.from_int(value)
     if isinstance(value, str):
         if value not in FOOTNOTE_BASIS:
             raise ValueError(f"unknown footnote symbol {value!r}")
         return ring.basis_element(value)
-    if isinstance(value, (list, tuple)) and len(value) == 6:
-        return tuple(ring.base.from_int(int(c)) for c in value)
-    raise ValueError(f"bad footnote entry {value!r}")
+    if isinstance(value, (list, tuple)):
+        if len(value) != 6:
+            raise ValueError(f"bad footnote entry {value!r}")
+        return tuple(ring.base.from_int(_json_int(c, "footnote coordinate")) for c in value)
+    return ring.from_int(_json_int(value, "entry"))
 
 
 def matrix_from_json(data: dict) -> Matrix:
-    ring = ring_from_json(data["ring"])
-    n = int(data["n"])
-    entries = data["entries"]
-    if len(entries) != n or any(len(row) != n for row in entries):
+    """Parse the matrix schema; any malformed input raises ValueError."""
+    data = _json_object(data, "matrix file")
+    ring = ring_from_json(_field(data, "ring", "matrix file"))
+    n = _json_int(_field(data, "n", "matrix file"), "n")
+    entries = _field(data, "entries", "matrix file")
+    if not (
+        isinstance(entries, (list, tuple))
+        and len(entries) == n
+        and all(isinstance(row, (list, tuple)) and len(row) == n for row in entries)
+    ):
         raise ValueError(f"entries are not an {n}x{n} grid")
     if isinstance(ring, FootnoteAlgebra):
         rows = [[_footnote_entry(ring, v) for v in row] for row in entries]
         return Matrix(ring, rows)
-    return Matrix.from_ints(ring, entries)
+    return Matrix.from_ints(ring, [[_json_int(v, "entry") for v in row] for row in entries])
 
 
 def matrix_to_json(M: Matrix) -> dict:

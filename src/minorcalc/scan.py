@@ -4,6 +4,13 @@ but whose powers have a principal minor different from 1.
 Over Z/2 (the Putnam setting) exhaustive scans must find nothing; over
 the counterexample algebra the built-in family yields a violation; over
 Z/4 the outcome is an open question, so those scans are exploratory.
+
+Every scan builds each matrix as a `Matrix` and uses the shared kernel:
+a candidate check over its principal minors with one Laplace memo, then
+`Matrix.mul` and `principal_minors` on the powers of each candidate.  An
+exhaustive scan over Z/k builds only the matrices with 1s on the
+diagonal, since no other matrix has all 1x1 minors equal to 1; the
+report still counts the whole space of k^(n^2) matrices as scanned.
 """
 
 from __future__ import annotations
@@ -12,11 +19,11 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import product
 
 from .demos import footnote_matrix
-from .matrix import Matrix, Subset
-from .matrixio import matrix_to_json, ring_from_spec
+from .matrix import Matrix, Subset, all_subsets, require_size
+from .matrixio import matrix_from_json, ring_from_spec, ring_to_json
 from .rings import FootnoteAlgebra, IntegerRing, ModularRing, _is_prime
 
 EXHAUSTIVE_LIMIT = 2**24
@@ -104,86 +111,54 @@ class ScanReport:
         return "\n".join(lines)
 
 
-# -- fast integer-entry path (Z and Z/k) ------------------------------
+# -- the scan ---------------------------------------------------------
 
 
-def _det_exact(a, idx):
-    """Determinant over Z of the principal submatrix of `a` on 0-based
-    indices `idx` (recursive Laplace; sizes here never exceed ~8)."""
-    if not idx:
-        return 1
-    r = idx[0]
-    rest = idx[1:]
-    total = 0
-    for pos, c in enumerate(idx):
-        e = a[r][c]
-        if e:
-            sub = _det_exact_rc(a, rest, idx[:pos] + idx[pos + 1 :])
-            total += e * sub if pos % 2 == 0 else -e * sub
-    return total
+def _is_candidate(A: Matrix) -> bool:
+    """Whether every nonempty principal minor of A is 1, stopping at the
+    first that is not; the minors share one Laplace memo."""
+    ring, memo = A.ring, {}
+    one = ring.one()
+    return all(
+        ring.eq(A.principal_minor(s, memo), one) for s in all_subsets(A.nrows)[1:]
+    )
 
 
-def _det_exact_rc(a, rows, cols):
-    if not rows:
-        return 1
-    r = rows[0]
-    rest = rows[1:]
-    total = 0
-    for pos, c in enumerate(cols):
-        e = a[r][c]
-        if e:
-            sub = _det_exact_rc(a, rest, cols[:pos] + cols[pos + 1 :])
-            total += e * sub if pos % 2 == 0 else -e * sub
-    return total
+def _report_value(ring, value):
+    """A minor as the report shows it: an int over Z and Z/k, the
+    rendered element over the quotient algebra."""
+    return ring.render(value) if isinstance(ring, FootnoteAlgebra) else value
 
 
-def _subsets_by_size(n):
-    out = []
-    for k in range(1, n + 1):
-        out.extend(combinations(range(n), k))
-    return out
-
-
-def _all_minors_one(a, subsets, modulus):
-    for idx in subsets:
-        d = _det_exact(a, idx)
-        if modulus is not None:
-            d %= modulus
-        if d != 1:
-            return False
-    return True
-
-
-def _mat_mul_int(a, b, modulus):
-    n = len(a)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        for j in range(n):
-            s = sum(ai[k] * b[k][j] for k in range(n))
-            out[i][j] = s % modulus if modulus is not None else s
-    return out
-
-
-def _power_violations(a, n, m_max, modulus, subsets):
-    found = []
-    b = a
-    for m in range(2, m_max + 1):
-        b = _mat_mul_int(b, a, modulus)
-        for idx in subsets:
-            d = _det_exact(b, idx)
-            if modulus is not None:
-                d %= modulus
-            if d != 1:
-                found.append(
-                    Violation(
-                        matrix=tuple(tuple(row) for row in a),
-                        power=m,
-                        subset=tuple(i + 1 for i in idx),
-                        value=d,
+def _scan_matrices(matrices, m_max):
+    """Count the candidates among `matrices` and collect every principal
+    minor of A^2, ..., A^m_max that is not 1, for each candidate A."""
+    candidates = 0
+    violations: list[Violation] = []
+    for A in matrices:
+        if not _is_candidate(A):
+            continue
+        candidates += 1
+        ring = A.ring
+        one = ring.one()
+        B = A
+        for m in range(2, m_max + 1):
+            B = B.mul(A)
+            for subset, value in B.principal_minors().items()[1:]:
+                if not ring.eq(value, one):
+                    violations.append(
+                        Violation(A.rows, m, subset.members(), _report_value(ring, value))
                     )
-                )
-    return found
+    return candidates, violations
+
+
+def _unit_diagonal_matrices(ring: ModularRing, n):
+    """Every n x n matrix over Z/k with 1s on the diagonal.  Any other
+    matrix has a 1x1 principal minor that is not 1, so it is counted as
+    scanned but never built."""
+    for off in product(range(ring.modulus), repeat=n * n - n):
+        it = iter(off)
+        yield Matrix(ring, [[1 if i == j else next(it) for j in range(n)] for i in range(n)])
 
 
 def _unipotent_seed(rng, n, entry):
@@ -194,31 +169,11 @@ def _unipotent_seed(rng, n, entry):
     return a
 
 
-def _scan_integer_entries(ring, n, m_max, mode, trials, seed, entry_bound):
-    modulus = ring.modulus if isinstance(ring, ModularRing) else None
-    subsets = _subsets_by_size(n)
-    candidates = 0
-    violations: list[Violation] = []
-    if mode == "exhaustive":
-        if modulus is None:
-            raise ValueError("exhaustive mode needs a finite ring")
-        total = modulus ** (n * n)
-        if total > EXHAUSTIVE_LIMIT:
-            raise ValueError(
-                f"exhaustive scan of {total} matrices exceeds the limit {EXHAUSTIVE_LIMIT}"
-            )
-        scanned = 0
-        for flat in product(range(modulus), repeat=n * n):
-            scanned += 1
-            a = [list(flat[i * n : (i + 1) * n]) for i in range(n)]
-            if _all_minors_one(a, subsets, modulus):
-                candidates += 1
-                violations.extend(_power_violations(a, n, m_max, modulus, subsets))
-        return scanned, candidates, violations
-    # random mode: per-trial RNG keyed by (seed, index), so the report does
-    # not depend on how the trial stream is split
-    if modulus is not None:
-        entry = lambda rng: rng.randrange(modulus)
+def _random_matrices(ring, n, trials, seed, entry_bound):
+    # per-trial RNG keyed by (seed, index), so the report does not depend
+    # on how the trial stream is split
+    if isinstance(ring, ModularRing):
+        entry = lambda rng: rng.randrange(ring.modulus)
     else:
         entry = lambda rng: rng.randint(-entry_bound, entry_bound)
     for idx in range(trials):
@@ -229,45 +184,7 @@ def _scan_integer_entries(ring, n, m_max, mode, trials, seed, entry_bound):
             a = _unipotent_seed(rng, n, entry)
         else:
             a = [[entry(rng) for _ in range(n)] for _ in range(n)]
-        if _all_minors_one(a, subsets, modulus):
-            candidates += 1
-            violations.extend(_power_violations(a, n, m_max, modulus, subsets))
-    return trials, candidates, violations
-
-
-# -- footnote-algebra path --------------------------------------------
-
-
-def _scan_footnote(ring: FootnoteAlgebra, n, m_max):
-    if n != 4:
-        raise ValueError("the built-in counterexample family has n = 4")
-    A = footnote_matrix(ring)
-    scanned = 1
-    candidates = 0
-    violations: list[Violation] = []
-    table = A.principal_minors()
-    if table.all_equal(ring.one()):
-        candidates += 1
-        matrix_entries = tuple(
-            tuple(tuple(int(c) for c in v) for v in row) for row in A.rows
-        )
-        b = A
-        for m in range(2, m_max + 1):
-            b = b.mul(A)
-            minors = b.principal_minors()
-            for subset, value in minors.items():
-                if len(subset) == 0:
-                    continue
-                if not ring.eq(value, ring.one()):
-                    violations.append(
-                        Violation(
-                            matrix=matrix_entries,
-                            power=m,
-                            subset=subset.members(),
-                            value=ring.render(value),
-                        )
-                    )
-    return scanned, candidates, violations
+        yield Matrix(ring, a)
 
 
 # -- entry point ------------------------------------------------------
@@ -284,32 +201,32 @@ def run_scan(
 ) -> ScanReport:
     if mode not in ("exhaustive", "random"):
         raise ValueError(f"unknown scan mode {mode!r}")
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    require_size("n", n, 1)
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
     if mode == "random" and trials < 1:
         raise ValueError("random mode needs at least 1 trial")
     ring = ring_from_spec(ring_spec)
     t0 = time.monotonic()
+    trials_out, seed_out = None, "exhaustive"
     if isinstance(ring, FootnoteAlgebra):
-        scanned, candidates, violations = _scan_footnote(ring, n, m_max)
-        mode = "builtin-family"
-        trials_out = None
-        seed_out = "exhaustive"
-        exploratory = False
-    elif isinstance(ring, (ModularRing, IntegerRing)):
-        if mode == "exhaustive" and isinstance(ring, IntegerRing):
+        if n != 4:
+            raise ValueError("the built-in counterexample family has n = 4")
+        mode, scanned, matrices = "builtin-family", 1, [footnote_matrix(ring)]
+    elif mode == "exhaustive":
+        if isinstance(ring, IntegerRing):
             raise ValueError("Z cannot be scanned exhaustively; use random mode")
-        scanned, candidates, violations = _scan_integer_entries(
-            ring, n, m_max, mode, trials, seed, entry_bound
-        )
-        trials_out = trials if mode == "random" else None
-        seed_out = seed if mode == "random" else "exhaustive"
-        exploratory = isinstance(ring, ModularRing) and not _is_prime(ring.modulus)
+        scanned = ring.modulus ** (n * n)
+        if scanned > EXHAUSTIVE_LIMIT:
+            raise ValueError(
+                f"exhaustive scan of {scanned} matrices exceeds the limit {EXHAUSTIVE_LIMIT}"
+            )
+        matrices = _unit_diagonal_matrices(ring, n)
     else:
-        raise ValueError(f"cannot scan ring {ring.describe()}")
-    violations = sorted(violations, key=Violation.sort_key)
+        scanned = trials_out = trials
+        seed_out = seed
+        matrices = _random_matrices(ring, n, trials, seed, entry_bound)
+    candidates, violations = _scan_matrices(matrices, m_max)
     return ScanReport(
         ring=ring.describe(),
         n=n,
@@ -319,29 +236,19 @@ def run_scan(
         trials=trials_out,
         scanned=scanned,
         candidates=candidates,
-        violations=violations,
-        exploratory=exploratory,
+        violations=sorted(violations, key=Violation.sort_key),
+        exploratory=isinstance(ring, ModularRing) and not _is_prime(ring.modulus),
         elapsed=time.monotonic() - t0,
     )
 
 
 def reverify_violation(ring_spec: str, violation: Violation) -> bool:
-    """Recompute the named minor of A^m through the generic matrix kernel
-    and compare with the reported value."""
+    """Rebuild the matrix from the report, recompute the named minor of
+    A^m through the generic matrix kernel and compare with the reported
+    value."""
     ring = ring_from_spec(ring_spec)
-    if isinstance(ring, FootnoteAlgebra):
-        rows = [
-            [tuple(ring.base.from_int(c) for c in v) for v in row]
-            for row in violation.matrix
-        ]
-        A = Matrix(ring, rows)
-        expected = violation.value
-        got = ring.render(
-            A.pow(violation.power).principal_minor(
-                Subset.of(A.nrows, violation.subset)
-            )
-        )
-        return got == expected
-    A = Matrix.from_ints(ring, violation.matrix)
-    got = A.pow(violation.power).principal_minor(Subset.of(A.nrows, violation.subset))
-    return ring.eq(got, ring.from_int(violation.value) if isinstance(ring, ModularRing) else violation.value)
+    A = matrix_from_json(
+        {"ring": ring_to_json(ring), "n": len(violation.matrix), "entries": violation.matrix}
+    )
+    minor = A.pow(violation.power).principal_minor(Subset.of(A.nrows, violation.subset))
+    return _report_value(ring, minor) == violation.value

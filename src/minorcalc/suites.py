@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from .matrix import Matrix, Subset, all_subsets
+from .matrix import Matrix, all_subsets, require_size
 from .poly import POLY_RING, Polynomial, pvar, qvar
 from .rings import FootnoteAlgebra, IntegerRing, ModularRing, PrimeField, Ring
 from .series import SeriesRing, TruncatedSeries
@@ -46,8 +46,9 @@ def random_matrix(ring: Ring, n: int, rng: random.Random, bound: int = 9) -> Mat
 
 
 def _require_at_least(**bounds):
-    """Reject out-of-range sizes before any work starts; each keyword maps
-    a parameter name to (value, least allowed value)."""
+    """Reject out-of-range counts before any work starts; each keyword maps
+    a parameter name to (value, least allowed value).  Matrix sizes go
+    through `require_size`, which also caps them."""
     for name, (value, least) in bounds.items():
         if value < least:
             raise ValueError(f"{name} must be at least {least}, got {value}")
@@ -56,7 +57,8 @@ def _require_at_least(**bounds):
 def suite_symbolic(n_max: int = 3, m_max: int = 4, extra=((4, 2),)) -> list[str]:
     """Exact polynomial identity of the synthesized universal polynomials
     against powers of the generic matrix."""
-    _require_at_least(n_max=(n_max, 1), m_max=(m_max, 0))
+    require_size("n_max", n_max, 1)
+    _require_at_least(m_max=(m_max, 0))
     failures = []
     grid = [(n, m) for n in range(1, n_max + 1) for m in range(m_max + 1)]
     for n4, m4 in extra or ():
@@ -76,7 +78,8 @@ def suite_random(
     m_max: int = 6,
 ) -> list[str]:
     """eval_universal against the matrix-power oracle on random matrices."""
-    _require_at_least(trials=(trials, 1), n_max=(n_max, 1), m_max=(m_max, 0))
+    require_size("n_max", n_max, 1)
+    _require_at_least(trials=(trials, 1), m_max=(m_max, 0))
     ring = DEFAULT_RINGS[ring_name]
     rng = random.Random(seed)
     failures = []
@@ -100,7 +103,8 @@ def suite_random(
 def suite_all_ones(n_max: int = 5, m_max: int = 8) -> list[str]:
     """Evaluating each universal polynomial with every minor symbol set to
     1 must give 1."""
-    _require_at_least(n_max=(n_max, 1), m_max=(m_max, 0))
+    require_size("n_max", n_max, 1)
+    _require_at_least(m_max=(m_max, 0))
     ring = IntegerRing()
     failures = []
     for n in range(1, n_max + 1):
@@ -122,7 +126,8 @@ def suite_offdiag(
 ) -> list[str]:
     """Certificates against the matrix-power oracle, plus the symbolic
     sign validation of the quasiprincipal expansion."""
-    _require_at_least(trials=(trials, 1), n_max=(n_max, 2), m_max=(m_max, 0))
+    require_size("n_max", n_max, 2)
+    _require_at_least(trials=(trials, 1), m_max=(m_max, 0))
     failures = offdiag_sign_check(n_max)
     for ring_name in ring_names:
         ring = DEFAULT_RINGS[ring_name]
@@ -193,7 +198,8 @@ def offdiag_sign_check(n_max: int = 4) -> list[str]:
 def suite_adjugate(trials: int = 50, seed: int = 0, n_max: int = 4) -> list[str]:
     """B * adj(B) = adj(B) * B = det(B) * I on random matrices over Z,
     Z/4 and the counterexample algebra."""
-    _require_at_least(trials=(trials, 1), n_max=(n_max, 0))
+    require_size("n_max", n_max, 0)
+    _require_at_least(trials=(trials, 1))
     rings = [IntegerRing(), ModularRing(4), FootnoteAlgebra()]
     failures = []
     for ring in rings:
@@ -213,7 +219,7 @@ def suite_adjugate(trials: int = 50, seed: int = 0, n_max: int = 4) -> list[str]
 def suite_charpoly(m_max: int = 4) -> list[str]:
     """det(B + z*I_m) = sum over P of det(sub_P^P B) * z^(m-|P|) as an
     identity over Z[x{1,1}..x{m,m}][z], checked by expanding both sides."""
-    _require_at_least(m_max=(m_max, 0))
+    require_size("m_max", m_max, 0)
     failures = []
     z = Polynomial.variable("z")
     for m in range(m_max + 1):
@@ -232,7 +238,7 @@ def suite_diagonal_sum(n_max: int = 3) -> list[str]:
     """det(C + D) for diagonal D: the subset expansion into principal
     minors of C times products of the complementary diagonal entries,
     checked symbolically."""
-    _require_at_least(n_max=(n_max, 0))
+    require_size("n_max", n_max, 0)
     failures = []
     for n in range(n_max + 1):
         C = generic_matrix(n)

@@ -20,7 +20,14 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .matrix import Matrix, Subset, all_subsets, diag_reindex, quasiprincipal_minor
+from .matrix import (
+    Matrix,
+    Subset,
+    all_subsets,
+    diag_reindex,
+    quasiprincipal_minor,
+    require_size,
+)
 from .poly import POLY_RING, Polynomial, pvar, qvar, xvar
 from .rings import Ring
 
@@ -127,7 +134,8 @@ def _series_quotient(d: list, a: list, m: int) -> list[Polynomial]:
 @lru_cache(maxsize=None)
 def synth_diag(n: int, i: int, m: int) -> UniversalPolynomial:
     """The canonical universal polynomial for (A^m)_{i,i}."""
-    if n < 1 or not 1 <= i <= n:
+    require_size("n", n, 1)
+    if not 1 <= i <= n:
         raise ValueError(f"index i={i} outside [n]={list(range(1, n + 1))}")
     if m < 0:
         raise ValueError("m must be nonnegative")
@@ -193,7 +201,8 @@ def synth_offdiag(n: int, i: int, j: int, m: int) -> OffDiagCertificate:
     offdiag_series_coeffs at t^(|P|-1), so dividing by d(t) gives that
     symbol the t^(m-|P|+1) coefficient of 1/d(t).  Terms follow the
     variable order of q{I|J}: by |I|, then I, then J."""
-    if n < 1 or not 1 <= i <= n or not 1 <= j <= n:
+    require_size("n", n, 1)
+    if not 1 <= i <= n or not 1 <= j <= n:
         raise ValueError(f"indices ({i},{j}) outside [n]={list(range(1, n + 1))}")
     if i == j:
         raise ValueError("i and j must be distinct; use synth_diag for the diagonal")

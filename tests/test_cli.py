@@ -1,6 +1,7 @@
 """Exit-code contract and output checks for every subcommand.
 
-0 = verified / pass, 1 = property violated, 2 = usage or input error.
+0 = verified / pass, 1 = property violated, 2 = usage or input error,
+3 = internal error.
 """
 
 import json
@@ -51,6 +52,35 @@ class TestMinors:
         with pytest.raises(SystemExit) as exc:
             main(["minors", "--matrix", write_matrix(tmp_path, data)])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"ring": {"kind": "int"}, "n": 2, "entries": [[1, None], [3, 4]]},
+        [1],
+        {"ring": {"kind": "int"}, "n": 2, "entries": [[1, 2.5], [3, 4]]},
+        {"ring": {"kind": "mod", "modulus": 4.7}, "n": 1, "entries": [[True]]},
+        {"ring": {"kind": "mod", "modulus": 4}, "n": 1, "entries": [[True]]},
+        {"ring": {"kind": "int"}, "n": "2", "entries": [[1, 2], [3, 4]]},
+        {"ring": {"kind": "footnote"}, "n": 1, "entries": [[[1, 0, 0, 0, 0, 0.5]]]},
+        {"ring": {"kind": "footnote"}, "n": 1, "entries": [[False]]},
+        {"ring": [], "n": 1, "entries": [[1]]},
+        {"ring": {"kind": "int"}, "n": 1, "entries": 7},
+        {"ring": {"kind": "int"}, "n": 1, "entries": [1]},
+        {"n": 1, "entries": [[1]]},
+        {"ring": {"kind": "int"}, "n": 1},
+        {"ring": {"kind": "int"}, "n": 9, "entries": [[0] * 9] * 9},
+    ],
+)
+def test_malformed_or_oversized_matrix_is_usage_error(tmp_path, capsys, data):
+    for command in (["minors"], ["pow-minors", "-m", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--matrix", write_matrix(tmp_path, data)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: cannot read matrix" in captured.err
 
 
 class TestPowMinors:
@@ -121,6 +151,9 @@ class TestVerify:
         ["verify", "charpoly", "--ring", "mod4"],
         ["scan", "--ring", "mod:4", "--n", "3", "--mode", "random", "--trials", "-5"],
         ["scan", "--ring", "mod:2", "--n", "0"],
+        ["synth", "22", "1", "1"],
+        ["verify", "symbolic", "--n", "9"],
+        ["scan", "--ring", "int", "--n", "20", "--mode", "random", "--trials", "4"],
     ],
 )
 def test_out_of_range_input_is_usage_error(argv, capsys):
@@ -207,6 +240,20 @@ class TestScan:
         with pytest.raises(SystemExit) as exc:
             main(["scan", "--ring", "mod:3", "--n", "4"])
         assert exc.value.code == 2
+
+
+def test_internal_error_exits_three(monkeypatch, capsys):
+    import minorcalc.cli as cli
+
+    def broken(**kwargs):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr(cli, "run_scan", broken)
+    rc = main(["scan", "--ring", "mod:2", "--n", "2"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: internal error: RuntimeError: injected fault" in captured.err
 
 
 def test_no_subcommand_is_usage_error():

@@ -4,11 +4,13 @@ from itertools import combinations, permutations
 import pytest
 
 from minorcalc.matrix import (
+    MAX_SIZE,
     Matrix,
     Subset,
     all_subsets,
     diag_reindex,
     quasiprincipal_minor,
+    require_size,
 )
 from minorcalc.poly import POLY_RING, Polynomial
 from minorcalc.rings import FootnoteAlgebra, IntegerRing, ModularRing
@@ -52,6 +54,12 @@ class TestSubset:
     def test_canonical_order(self):
         labels = [s.label() for s in all_subsets(3)]
         assert labels == ["{}", "{1}", "{2}", "{3}", "{1,2}", "{1,3}", "{2,3}", "{1,2,3}"]
+
+    def test_size_bounds(self):
+        require_size("n", MAX_SIZE, 1)
+        for n in (0, MAX_SIZE + 1):
+            with pytest.raises(ValueError, match=f"between 1 and {MAX_SIZE}"):
+                require_size("n", n, 1)
 
 
 class TestArithmetic:

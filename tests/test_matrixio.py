@@ -82,6 +82,13 @@ class TestMatrixJson:
         with pytest.raises(ValueError, match="unknown footnote symbol"):
             matrix_from_json(data)
 
+    @pytest.mark.parametrize("kind", [{"kind": "int"}, {"kind": "mod", "modulus": 4}])
+    @pytest.mark.parametrize("entry", [2.5, True, None, "3"])
+    def test_entries_must_be_json_integers(self, kind, entry):
+        data = {"ring": kind, "n": 1, "entries": [[entry]]}
+        with pytest.raises(ValueError, match="must be an integer"):
+            matrix_from_json(data)
+
     def test_shape_mismatch(self):
         data = {"ring": {"kind": "int"}, "n": 2, "entries": [[1, 2, 3], [4, 5, 6]]}
         with pytest.raises(ValueError, match="grid"):

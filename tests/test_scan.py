@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from minorcalc.scan import ScanReport, Violation, reverify_violation, run_scan
@@ -11,19 +13,22 @@ class TestExhaustiveScan:
         assert report.violations == []
         assert not report.exploratory
 
-    def test_z2_n2_candidate_count_matches_bruteforce(self):
-        # independent oracle: re-enumerate with the generic matrix kernel
+    @pytest.mark.parametrize("spec,n", [("mod:2", 2), ("mod:2", 3), ("mod:3", 2), ("mod:4", 2)])
+    def test_z2_n2_candidate_count_matches_bruteforce(self, spec, n):
+        # independent oracle: every matrix of the space, unit diagonal or
+        # not, through the generic minor table
         from minorcalc.matrix import Matrix
-        from minorcalc.rings import ModularRing
+        from minorcalc.matrixio import ring_from_spec
         from itertools import product
 
-        ring = ModularRing(2)
+        ring = ring_from_spec(spec)
         expected = 0
-        for flat in product(range(2), repeat=4):
-            A = Matrix.from_ints(ring, [flat[:2], flat[2:]])
+        for flat in product(range(ring.modulus), repeat=n * n):
+            A = Matrix.from_ints(ring, [flat[r * n : (r + 1) * n] for r in range(n)])
             if A.principal_minors().all_equal(1):
                 expected += 1
-        report = run_scan("mod:2", 2, 3, "exhaustive")
+        report = run_scan(spec, n, 3, "exhaustive")
+        assert report.scanned == ring.modulus ** (n * n)
         assert report.candidates == expected
 
     def test_size_limit_enforced(self):
@@ -100,3 +105,18 @@ def test_report_json_shape():
     assert payload["mode"] == "exhaustive"
     assert payload["candidates"] <= payload["scanned"]
     assert "elapsed" not in payload  # kept out of the report for determinism
+
+
+@pytest.mark.parametrize(
+    "args,digest",
+    [
+        (("mod:2", 3, 4, "exhaustive"),
+         "1915c86eb552ff5b8e9310affec1d23e1ff1713effa08d5825c7cdd0052eca97"),
+        (("footnote:2", 4, 2),
+         "c4676d761b4fb0d581c599f4175e0a1f6bf2db76de0b48f89a428543ea550893"),
+    ],
+)
+def test_report_digest_is_pinned(args, digest):
+    # byte-for-byte the reports of the integer-kernel scan this replaced
+    report = run_scan(*args)
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
