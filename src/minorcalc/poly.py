@@ -8,8 +8,14 @@ reserved:
 * ``q{1,2|2,5}`` -- quasiprincipal-minor symbol for a pair of subsets.
 
 Any other identifier (``a``, ``b``, ...) is an ordinary free variable.
-Terms are kept in graded-lexicographic canonical order, so equal
-polynomials have identical string forms (golden-test friendly).
+Each name is interned to an index at first use.  A monomial is one
+packed integer (Monagan & Pearce's packed exponent vectors): the lowest
+32-bit field holds its total degree and field k+1 the exponent of
+variable k, so multiplying two monomials is adding two integers.  The
+total degree of every monomial is therefore at most 2^32 - 1.
+Printing sorts terms in graded-lexicographic order under ``var_key``,
+never under interning order, so equal polynomials have identical string
+forms (golden-test friendly).
 """
 
 from __future__ import annotations
@@ -22,6 +28,13 @@ from .rings import IntegerRing, Ring
 
 _STRUCTURED = re.compile(r"^([pxq])\{([0-9,|]*)\}$")
 _IDENT = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
+
+_FIELD = 32
+_DEGREE = (1 << _FIELD) - 1  # mask of the total-degree field, and the largest degree
+
+# Interned variables: index -> name and name -> index, in first-use order.
+_names: list = []
+_index: dict = {}
 
 
 def xvar(i: int, j: int) -> str:
@@ -64,24 +77,39 @@ def var_key(name: str):
     return (2, len(li), li, ri)
 
 
-def _term_key(mono):
-    # Graded lex, descending: compare total degree first, then the sparse
-    # exponent sequence with smaller variables more significant.
-    deg = sum(e for _, e in mono)
-    return (-deg, tuple((var_key(v), -e) for v, e in mono))
+def _intern(name: str) -> int:
+    k = _index.get(name)
+    if k is None:
+        var_key(name)  # validate
+        k = _index[name] = len(_names)
+        _names.append(name)
+    return k
+
+
+def _fields(mono: int):
+    """Yield (variable index, exponent) for each nonzero exponent field of
+    a packed monomial, highest index first."""
+    rest = mono >> _FIELD
+    while rest:
+        shift = (rest.bit_length() - 1) // _FIELD * _FIELD
+        e = rest >> shift
+        yield shift // _FIELD, e
+        rest ^= e << shift
 
 
 class Polynomial:
     """Immutable sparse polynomial over Z.
 
-    ``terms`` maps a monomial -- a tuple of (variable, exponent) pairs
-    sorted by variable order, with positive exponents -- to a nonzero
-    integer coefficient.
+    ``terms`` maps a monomial -- one packed integer, the total degree in
+    its lowest 32-bit field and the exponent of interned variable k in
+    field k+1; the constant monomial is 0 -- to a nonzero integer
+    coefficient.  Products whose total degree would exceed 2^32 - 1
+    raise ``OverflowError``.
     """
 
     __slots__ = ("terms", "_hash")
 
-    def __init__(self, terms: Mapping[tuple, int]):
+    def __init__(self, terms: Mapping[int, int]):
         self.terms = dict(terms)
         self._hash = None
 
@@ -89,12 +117,11 @@ class Polynomial:
 
     @classmethod
     def constant(cls, c: int) -> "Polynomial":
-        return cls({(): c}) if c else cls({})
+        return cls({0: c}) if c else cls({})
 
     @classmethod
     def variable(cls, name: str) -> "Polynomial":
-        var_key(name)  # validate
-        return cls({((name, 1),): 1})
+        return cls({1 << (_FIELD * (_intern(name) + 1)) | 1: 1})
 
     # -- basic structure ----------------------------------------------
 
@@ -102,18 +129,20 @@ class Polynomial:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(m == () for m in self.terms)
+        return not any(self.terms)
 
     def constant_term(self) -> int:
-        return self.terms.get((), 0)
+        return self.terms.get(0, 0)
 
     def variables(self) -> set:
-        return {v for mono in self.terms for v, _ in mono}
+        # a field of the OR of all monomials is nonzero iff some term has it
+        support = 0
+        for mono in self.terms:
+            support |= mono
+        return {_names[k] for k, _ in _fields(support)}
 
     def degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e for _, e in mono) for mono in self.terms)
+        return max((mono & _DEGREE for mono in self.terms), default=0)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -159,10 +188,15 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        # every exponent is at most its monomial's total degree, so when
+        # the degrees fit in one field no field carries into the next
+        if self.degree() + other.degree() > _DEGREE:
+            raise OverflowError(f"polynomial product has degree above {_DEGREE}")
         out: dict = {}
+        right = list(other.terms.items())
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = _mono_mul(m1, m2)
+            for m2, c2 in right:
+                mono = m1 + m2
                 s = out.get(mono, 0) + c1 * c2
                 if s:
                     out[mono] = s
@@ -180,7 +214,7 @@ class Polynomial:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
+            base = base * base if n > 1 else base
             n >>= 1
         return result
 
@@ -206,16 +240,21 @@ class Polynomial:
 
         Every variable occurring in the polynomial must be assigned.
         """
+        powers: dict = {}  # variable index -> [1, b, b^2, ...]
         total = ring.zero()
         for mono, coeff in self.terms.items():
             val = ring.from_int(coeff)
-            for name, exp in mono:
-                try:
-                    base = assignment[name]
-                except KeyError:
-                    raise ValueError(f"unassigned variable {name!r}") from None
-                for _ in range(exp):
-                    val = ring.mul(val, base)
+            for k, e in _fields(mono):
+                table = powers.get(k)
+                if table is None:
+                    try:
+                        base = assignment[_names[k]]
+                    except KeyError:
+                        raise ValueError(f"unassigned variable {_names[k]!r}") from None
+                    table = powers[k] = [ring.one(), base]
+                while len(table) <= e:
+                    table.append(ring.mul(table[-1], table[1]))
+                val = ring.mul(val, table[e])
             total = ring.add(total, val)
         return total
 
@@ -230,9 +269,28 @@ class Polynomial:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
+        # Graded lex, descending: total degree first, then the exponent
+        # sequence with smaller variables (under var_key) more significant.
+        # A factor is coded as rank << _FIELD | (_DEGREE - exponent), so
+        # sorted codes list the variables by rank and compare like the
+        # pairs (rank, -exponent).
+        present = sorted(self.variables(), key=var_key)
+        shifted = {_index[v]: r << _FIELD for r, v in enumerate(present)}
+        rows = []
+        for mono, coeff in self.terms.items():
+            codes = sorted([shifted[k] | (_DEGREE - e) for k, e in _fields(mono)])
+            rows.append((-(mono & _DEGREE), codes, coeff))
+        rows.sort()
+        text: dict = {}  # factor code -> "v" or "v^e"
         parts = []
-        for mono, coeff in sorted(self.terms.items(), key=lambda kv: _term_key(kv[0])):
-            factors = [v if e == 1 else f"{v}^{e}" for v, e in mono]
+        for _, codes, coeff in rows:
+            factors = []
+            for code in codes:
+                s = text.get(code)
+                if s is None:
+                    v, e = present[code >> _FIELD], _DEGREE - (code & _DEGREE)
+                    s = text[code] = v if e == 1 else f"{v}^{e}"
+                factors.append(s)
             mag = abs(coeff)
             if not factors:
                 body = str(mag)
@@ -252,17 +310,6 @@ class Polynomial:
     @classmethod
     def parse(cls, text: str) -> "Polynomial":
         return _parse(text)
-
-
-def _mono_mul(m1, m2):
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    merged = dict(m1)
-    for v, e in m2:
-        merged[v] = merged.get(v, 0) + e
-    return tuple(sorted(merged.items(), key=lambda ve: var_key(ve[0])))
 
 
 # -- parser -----------------------------------------------------------

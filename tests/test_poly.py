@@ -3,8 +3,10 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from minorcalc import poly
 from minorcalc.poly import POLY_RING, Polynomial, pvar, qvar, var_key, xvar
 from minorcalc.rings import IntegerRing, ModularRing
+from minorcalc.universal import synth_diag
 
 Z = IntegerRing()
 
@@ -132,21 +134,10 @@ def test_parse_rejects_garbage():
             Polynomial.parse(bad)
 
 
-_var_names = st.sampled_from(
-    ["p{1}", "p{2}", "p{1,2}", "x{1,1}", "x{2,1}", "q{1|2}", "a", "s"]
-)
+_NAMES = ["p{1}", "p{2}", "p{1,2}", "x{1,1}", "x{2,1}", "q{1|2}", "a", "s"]
+_var_names = st.sampled_from(_NAMES)
 _monomials = st.lists(st.tuples(_var_names, st.integers(1, 4)), max_size=3)
-_polys = st.lists(
-    st.tuples(_monomials, st.integers(-99, 99)), max_size=6
-).map(
-    lambda terms: sum(
-        (
-            coeff * _monomial_poly(mono)
-            for mono, coeff in terms
-        ),
-        Polynomial({}),
-    )
-)
+_term_lists = st.lists(st.tuples(_monomials, st.integers(-99, 99)), max_size=6)
 
 
 def _monomial_poly(mono):
@@ -154,6 +145,13 @@ def _monomial_poly(mono):
     for name, exp in mono:
         out = out * Polynomial.variable(name) ** exp
     return out
+
+
+def _poly_from_terms(terms):
+    return sum((coeff * _monomial_poly(mono) for mono, coeff in terms), Polynomial({}))
+
+
+_polys = _term_lists.map(_poly_from_terms)
 
 
 @given(_polys)
@@ -165,6 +163,58 @@ def test_print_parse_roundtrip(f):
 def test_string_form_is_canonical(f):
     # serialize -> parse -> serialize is the identity on strings
     assert str(Polynomial.parse(str(f))) == str(f)
+
+
+def _plain_eval(terms, point):
+    # the oracle: a raw term list evaluated with Python ints only
+    total = 0
+    for mono, coeff in terms:
+        value = coeff
+        for name, exp in mono:
+            value *= point[name] ** exp
+        total += value
+    return total
+
+
+_points = st.fixed_dictionaries({name: st.integers(-7, 7) for name in _NAMES})
+
+
+@given(_term_lists, _term_lists, st.integers(0, 4), _points)
+def test_arithmetic_matches_plain_int_evaluation(f_terms, g_terms, k, point):
+    f, g = _poly_from_terms(f_terms), _poly_from_terms(g_terms)
+    fv, gv = _plain_eval(f_terms, point), _plain_eval(g_terms, point)
+    assert f.eval(point, Z) == fv
+    assert (f + g).eval(point, Z) == fv + gv
+    assert (f - g).eval(point, Z) == fv - gv
+    assert (f * g).eval(point, Z) == fv * gv
+    assert (f ** k).eval(point, Z) == fv**k
+
+
+def test_printing_ignores_interning_order():
+    # each pair is interned against var_key order: zz9 before zz1, and
+    # p{1,2} before p{9}, which no synthesis up to MAX_SIZE creates
+    zz9, zz1 = P("zz9"), P("zz1")
+    p12, p9 = P("p{1,2}"), P("p{9}")
+    assert poly._index["zz9"] < poly._index["zz1"]
+    assert poly._index["p{1,2}"] < poly._index["p{9}"]
+    f = zz9**2 + zz1 * zz9 + zz1**2 + 3 * p12 * zz9 - p9 * zz1 - 2 * p9 * p12 + p12
+    assert str(f) == (
+        "-2*p{9}*p{1,2} - p{9}*zz1 + 3*p{1,2}*zz9 + zz1^2 + zz1*zz9 + zz9^2 + p{1,2}"
+    )
+    assert Polynomial.parse(str(f)) == f
+
+
+def test_power_reaches_the_degree_bound_and_no_further():
+    a = P("a")
+    assert str(a ** (2**32 - 1)) == "a^4294967295"
+    with pytest.raises(OverflowError):
+        a ** 2**32
+    with pytest.raises(OverflowError):
+        a ** (2**31) * P("b") ** (2**31)
+
+
+def test_large_exponent_of_a_synthesized_polynomial():
+    assert str(synth_diag(1, 1, 70000).body) == "p{1}^70000"
 
 
 def test_substitute_keeps_unassigned():

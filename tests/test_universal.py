@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -284,3 +285,20 @@ class TestSeriesInverseOracle:
                         Polynomial({}),
                     )
                     assert total == (d_inv * a_off).coefficient(m)
+
+
+def test_synthesis_digest_is_pinned():
+    # byte-for-byte the output of the tuple-keyed monomials this replaced:
+    # every P[n,i,m] for n <= 5, m <= 6 and every certificate for n <= 4, m <= 5
+    h = hashlib.sha256()
+    for n in range(1, 6):
+        for i in range(1, n + 1):
+            for m in range(7):
+                h.update(synth_diag(n, i, m).serialize().encode())
+    for n in range(2, 5):
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                if i != j:
+                    for m in range(6):
+                        h.update(synth_offdiag(n, i, j, m).to_json().encode())
+    assert h.hexdigest() == "7ef260f69b31f070a00b8fd2b817c7dfa851fc4c444ad6efddd19e6b0f1b1c71"
