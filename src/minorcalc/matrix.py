@@ -1,19 +1,27 @@
 """Dense matrices over a generic commutative ring: products, powers,
 submatrices, division-free determinants, adjugates and principal minors.
 
-All public indexing is 1-based.  The determinant is a memoized Laplace
-expansion over column bitmasks, which needs no division and therefore
-works over every ring instance (Z/4, the counterexample algebra, ...).
+All public indexing is 1-based.  Every determinant, principal minor and
+adjugate entry comes from one memoized Laplace recursion keyed by a
+(row mask, column mask) pair of integers: it expands along the lowest
+remaining row over that row's nonzero entries, which each matrix lists
+once per row.  It needs no division and therefore works over every ring
+instance (Z/4, the counterexample algebra, ...).  Over Z and Z/k, whose
+elements are plain ints, the recursion and the matrix product use
+native int arithmetic and reduce mod k once per memo entry or product
+entry; Z -> Z/k is a ring homomorphism, so the residues are exact.
+Other rings go through their own ring operations.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Iterable, Iterator
 
-from .rings import Ring
+from .rings import IntegerRing, ModularRing, Ring
 
 # The largest n accepted by the commands and suites that enumerate all
 # 2^n principal minors or subsets of [n].
@@ -103,10 +111,23 @@ def all_subsets(n: int) -> tuple[Subset, ...]:
     )
 
 
+@lru_cache
+def _column_bits(n: int) -> tuple[int, ...]:
+    return tuple(1 << j for j in range(n))
+
+
+def _int_modulus(ring: Ring):
+    """k over Z/k and 0 over Z, whose elements are plain ints; None over
+    every other ring."""
+    if isinstance(ring, ModularRing):
+        return ring.modulus
+    return 0 if isinstance(ring, IntegerRing) else None
+
+
 class Matrix:
     """Immutable dense matrix over a commutative ring."""
 
-    __slots__ = ("ring", "nrows", "ncols", "rows")
+    __slots__ = ("ring", "nrows", "ncols", "rows", "_minor")
 
     def __init__(self, ring: Ring, rows: Iterable[Iterable]):
         rows = tuple(tuple(r) for r in rows)
@@ -117,6 +138,7 @@ class Matrix:
         self.nrows = len(rows)
         self.ncols = ncols
         self.rows = rows
+        self._minor = None
 
     @classmethod
     def identity(cls, ring: Ring, n: int) -> "Matrix":
@@ -160,6 +182,10 @@ class Matrix:
     def __hash__(self):
         return hash((self.ring, self.rows))
 
+    def __reduce__(self):
+        # pickle the entries only; the cached Laplace recursion is rebuilt
+        return Matrix, (self.ring, self.rows)
+
     def __repr__(self):
         body = "; ".join(
             ", ".join(self.ring.render(v) for v in row) for row in self.rows
@@ -197,15 +223,23 @@ class Matrix:
                 f"{other.nrows}x{other.ncols}"
             )
         r = self.ring
-        out = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = r.zero()
-                for k in range(self.ncols):
-                    acc = r.add(acc, r.mul(self.rows[i][k], other.rows[k][j]))
-                row.append(acc)
-            out.append(row)
+        cols = tuple(zip(*other.rows))
+        k = _int_modulus(r)
+        if k is None:
+            zero, add, mul = r.zero(), r.add, r.mul
+            out = []
+            for row in self.rows:
+                out_row = []
+                for col in cols:
+                    acc = zero
+                    for a, b in zip(row, col):
+                        acc = add(acc, mul(a, b))
+                    out_row.append(acc)
+                out.append(out_row)
+        elif k:
+            out = [[sum(map(operator.mul, row, col)) % k for col in cols] for row in self.rows]
+        else:
+            out = [[sum(map(operator.mul, row, col)) for col in cols] for row in self.rows]
         return Matrix(r, out)
 
     def __matmul__(self, other):
@@ -257,36 +291,75 @@ class Matrix:
         """
         self._require_square("determinant")
         memo = {} if _memo is None else _memo
-        rows = tuple(range(1, self.nrows + 1))
-        colmask = (1 << self.ncols) - 1
-        return self._laplace(rows, colmask, memo)
+        full = (1 << self.nrows) - 1
+        return self._minor_kernel()(full, full, memo)
 
-    def _laplace(self, rows: tuple, colmask: int, memo: dict):
-        if not rows:
-            return self.ring.one()
-        key = (rows, colmask)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        r = self.ring
-        i = rows[0]
-        rest = rows[1:]
-        acc = r.zero()
-        pos = 0
-        for j in range(1, self.ncols + 1):
-            bit = 1 << (j - 1)
-            if not colmask & bit:
-                continue
-            e = self.rows[i - 1][j - 1]
-            if not r.is_zero(e):
-                sub = self._laplace(rest, colmask ^ bit, memo)
-                term = r.mul(e, sub)
-                if pos & 1:
-                    term = r.neg(term)
-                acc = r.add(acc, term)
-            pos += 1
-        memo[key] = acc
-        return acc
+    def _minor_kernel(self):
+        """The Laplace recursion over this matrix, built on first use:
+        ``minor(rows, cols, memo)`` is the determinant of the submatrix on
+        the row and column bitmasks (equal popcounts), memoized in
+        ``memo`` under one int that packs both masks."""
+        if self._minor is not None:
+            return self._minor
+        r, shift, dense = self.ring, self.ncols, self.rows
+        k = _int_modulus(r)
+        if k is None:
+            zero, one = r.zero(), r.one()
+            add, sub, mul = r.add, r.sub, r.mul
+        else:
+            zero, one = 0, 1
+            add, sub, mul = operator.add, operator.sub, operator.mul
+        bits = _column_bits(shift)
+        # per row, the (column bit, entry) pairs of its nonzero entries,
+        # listed when the recursion first expands along that row
+        entries = [None] * self.nrows
+
+        def nonzero(i: int) -> tuple:
+            row = dense[i]
+            # a nonzero int that is a multiple of k is kept: its term
+            # vanishes in the reduction mod k
+            keep = row if k is not None else [not r.is_zero(e) for e in row]
+            entries[i] = found = tuple(compress(zip(bits, row), keep))
+            return found
+
+        def minor(rows: int, cols: int, memo: dict):
+            if not rows:
+                return one
+            key = rows << shift | cols
+            hit = memo.get(key)
+            if hit is not None:
+                return hit
+            low = rows & -rows
+            rest = rows ^ low
+            i = low.bit_length() - 1
+            if not rest:
+                # one row and one column left
+                acc = mul(dense[i][cols.bit_length() - 1], one)
+            else:
+                acc = zero
+                row = entries[i]
+                if row is None:
+                    row = nonzero(i)
+                for bit, e in row:
+                    if cols & bit:
+                        # look the smaller minor up here, saving a call per hit
+                        left = cols ^ bit
+                        term = memo.get(rest << shift | left)
+                        if term is None:
+                            term = minor(rest, left, memo)
+                        term = mul(e, term)
+                        # the sign is the column's position among those left
+                        if (cols & (bit - 1)).bit_count() & 1:
+                            acc = sub(acc, term)
+                        else:
+                            acc = add(acc, term)
+            if k:
+                acc %= k
+            memo[key] = acc
+            return acc
+
+        self._minor = minor
+        return minor
 
     def principal_minor(self, subset: Subset, _memo: dict | None = None):
         """det(sub_P^P) for one subset P of [n]."""
@@ -294,17 +367,15 @@ class Matrix:
         if subset.n != self.nrows:
             raise ValueError("subset ambient size differs from matrix size")
         memo = {} if _memo is None else _memo
-        return self._laplace(subset.members(), subset.mask, memo)
+        return self._minor_kernel()(subset.mask, subset.mask, memo)
 
     def principal_minors(self) -> "MinorTable":
         """All 2^n principal minors, sharing one Laplace memo cache."""
         self._require_square("principal minors")
-        n = self.nrows
+        minor = self._minor_kernel()
         memo: dict = {}
-        values = {
-            s.mask: self._laplace(s.members(), s.mask, memo) for s in all_subsets(n)
-        }
-        return MinorTable(n, self.ring, values)
+        values = {s.mask: minor(s.mask, s.mask, memo) for s in all_subsets(self.nrows)}
+        return MinorTable(self.nrows, self.ring, values)
 
     def adjugate(self) -> "Matrix":
         """adj B with (adj B)_{i,j} = (-1)^(i+j) det(B_{~j,~i})."""
@@ -312,17 +383,14 @@ class Matrix:
         n = self.nrows
         r = self.ring
         full = (1 << n) - 1
+        minor = self._minor_kernel()
         memo: dict = {}
         out = []
-        for i in range(1, n + 1):
+        for i in range(n):
             row = []
-            for j in range(1, n + 1):
-                rows = tuple(k for k in range(1, n + 1) if k != j)
-                colmask = full ^ (1 << (i - 1))
-                minor = self._laplace(rows, colmask, memo)
-                if (i + j) & 1:
-                    minor = r.neg(minor)
-                row.append(minor)
+            for j in range(n):
+                value = minor(full ^ (1 << j), full ^ (1 << i), memo)
+                row.append(r.neg(value) if (i + j) & 1 else value)
             out.append(row)
         return Matrix(r, out)
 

@@ -17,16 +17,23 @@ from .rings import FOOTNOTE_BASIS, FootnoteAlgebra, IntegerRing, ModularRing, Pr
 
 
 def ring_from_spec(spec: str) -> Ring:
-    """Parse a CLI ring spec: ``int``, ``mod:k`` or ``footnote:p``."""
+    """Parse a CLI ring spec: ``int``, ``footnote``, ``mod:k`` or
+    ``footnote:p``, with k and p in ASCII decimal digits only."""
     if spec == "int":
         return IntegerRing()
-    if spec.startswith("mod:"):
-        return ModularRing(int(spec[4:]))
     if spec == "footnote":
         return FootnoteAlgebra()
-    if spec.startswith("footnote:"):
-        return FootnoteAlgebra(PrimeField(int(spec[9:])))
-    raise ValueError(f"unknown ring spec {spec!r} (expected int, mod:k or footnote:p)")
+    kind, sep, digits = spec.partition(":")
+    if not sep or kind not in ("mod", "footnote"):
+        raise ValueError(f"unknown ring spec {spec!r} (expected int, mod:k or footnote:p)")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"ring spec {spec!r}: the modulus must be ASCII decimal digits")
+    try:
+        if kind == "mod":
+            return ModularRing(int(digits))
+        return FootnoteAlgebra(PrimeField(int(digits)))
+    except ValueError as exc:
+        raise ValueError(f"ring spec {spec!r}: {exc}") from None
 
 
 def ring_to_json(ring: Ring) -> dict:

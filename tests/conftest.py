@@ -1,4 +1,5 @@
 import random
+from itertools import combinations, permutations
 
 from minorcalc.rings import Ring
 
@@ -31,3 +32,34 @@ def axiom_failures(ring: Ring, seed: int = 0, trials: int = 200, sampler=None) -
             if not ring.eq(lhs, rhs):
                 failures.append((name, t, a, b, c))
     return failures
+
+
+def det_leibniz(M):
+    """Independent determinant oracle: signed permutation sum."""
+    n = M.nrows
+    r = M.ring
+    total = r.zero()
+    for perm in permutations(range(1, n + 1)):
+        inversions = sum(
+            1 for a, b in combinations(range(n), 2) if perm[a] > perm[b]
+        )
+        term = r.one()
+        for i, j in enumerate(perm, start=1):
+            term = r.mul(term, M.entry(i, j))
+        total = r.add(total, term if inversions % 2 == 0 else r.neg(term))
+    return total
+
+
+def schoolbook(A, B):
+    """Independent product oracle: entry sums through ring.add/ring.mul."""
+    r = A.ring
+    out = []
+    for i in range(1, A.nrows + 1):
+        row = []
+        for j in range(1, B.ncols + 1):
+            acc = r.zero()
+            for k in range(1, A.ncols + 1):
+                acc = r.add(acc, r.mul(A.entry(i, k), B.entry(k, j)))
+            row.append(acc)
+        out.append(row)
+    return out

@@ -165,6 +165,19 @@ def test_out_of_range_input_is_usage_error(argv, capsys):
     assert "error:" in captured.err
 
 
+@pytest.mark.parametrize(
+    "spec", ["mod:1_6", "mod: +3", "mod:x", "mod:", "mod:2:3", "footnote:x", "mod:\u0663"]
+)
+def test_malformed_ring_spec_is_usage_error(spec, capsys):
+    # int() would read "1_6" as 16, " +3" as 3 and the Arabic-Indic digit as 3
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--ring", spec, "--n", "2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"ring spec {spec!r}" in captured.err
+
+
 class TestExampleCD:
     def test_symbolic(self, capsys):
         rc = main(["example-cd"])

@@ -1,8 +1,11 @@
+import pickle
 import random
-from itertools import combinations, permutations
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import det_leibniz, schoolbook
 from minorcalc.matrix import (
     MAX_SIZE,
     Matrix,
@@ -13,26 +16,11 @@ from minorcalc.matrix import (
     require_size,
 )
 from minorcalc.poly import POLY_RING, Polynomial
-from minorcalc.rings import FootnoteAlgebra, IntegerRing, ModularRing
+from minorcalc.rings import FootnoteAlgebra, IntegerRing, ModularRing, PrimeField, RationalField
+from minorcalc.suites import random_matrix
 from minorcalc.universal import generic_matrix
 
 Z = IntegerRing()
-
-
-def det_leibniz(M):
-    """Independent determinant oracle: signed permutation sum."""
-    n = M.nrows
-    r = M.ring
-    total = r.zero()
-    for perm in permutations(range(1, n + 1)):
-        inversions = sum(
-            1 for a, b in combinations(range(n), 2) if perm[a] > perm[b]
-        )
-        term = r.one()
-        for i, j in enumerate(perm, start=1):
-            term = r.mul(term, M.entry(i, j))
-        total = r.add(total, term if inversions % 2 == 0 else r.neg(term))
-    return total
 
 
 class TestSubset:
@@ -161,6 +149,14 @@ class TestDeterminant:
         with pytest.raises(ValueError):
             Matrix.zeros(Z, 2, 3).det()
 
+    def test_pickles_after_use(self):
+        # the recursion a matrix caches on first use is not part of its state
+        A = Matrix.from_ints(ModularRing(4), [[1, 2], [3, 1]])
+        table = A.principal_minors()
+        B = pickle.loads(pickle.dumps(A))
+        assert B == A
+        assert B.principal_minors() == table
+
 
 class TestAdjugate:
     def test_identity(self):
@@ -177,8 +173,6 @@ class TestAdjugate:
         "ring", [Z, ModularRing(4), FootnoteAlgebra()], ids=lambda r: r.describe()
     )
     def test_main_identity_random(self, ring):
-        from minorcalc.suites import random_matrix
-
         rng = random.Random(23)
         for _ in range(10):
             n = rng.randint(1, 3)
@@ -279,3 +273,92 @@ def test_diagonal_sum_expansion_symbolic():
     from minorcalc.suites import suite_diagonal_sum
 
     assert suite_diagonal_sum(3) == []
+
+
+def _is_canonical(ring, value):
+    if type(value) is not int:
+        return False
+    return 0 <= value < ring.modulus if isinstance(ring, ModularRing) else True
+
+
+_INT_RINGS = [Z, ModularRing(4), ModularRing(6), PrimeField(101)]
+
+
+@st.composite
+def _int_ring_pairs(draw):
+    """Two n x n matrices (n <= 5) over Z, Z/4, Z/6 or F_101; over Z some
+    entries exceed 2^64."""
+    ring = draw(st.sampled_from(_INT_RINGS))
+    n = draw(st.integers(0, 5))
+    if isinstance(ring, ModularRing):
+        entry = st.integers(0, ring.modulus - 1)
+    else:
+        entry = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70))
+    rows = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    return Matrix(ring, draw(rows)), Matrix(ring, draw(rows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_int_ring_pairs())
+def test_int_path_matches_ring_op_oracles(pair):
+    A, B = pair
+    ring, n = A.ring, A.nrows
+    memo: dict = {}
+    table = A.principal_minors()
+    results = []
+    for s in all_subsets(n):
+        expected = det_leibniz(A.submatrix(s, s))
+        assert A.principal_minor(s, memo) == table[s] == expected
+        results.append(table[s])
+    assert A.det() == det_leibniz(A)
+    full = Subset.full(n)
+    adj = A.adjugate()
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            minor = det_leibniz(A.submatrix(full.without(j), full.without(i)))
+            assert adj.entry(i, j) == (minor if (i + j) % 2 == 0 else ring.neg(minor))
+    product = A.mul(B)
+    assert [list(row) for row in product.rows] == schoolbook(A, B)
+    results += [A.det()] + [v for M in (adj, product) for row in M.rows for v in row]
+    expected = Matrix.identity(ring, n)
+    for m in range(4):
+        power = A.pow(m)
+        assert power == expected
+        results += [v for row in power.rows for v in row]
+        expected = Matrix(ring, schoolbook(expected, A))
+    assert all(_is_canonical(ring, v) for v in results)
+
+
+def _rational_matrix(rng, n):
+    # plain int entries too: results over Q must still be Fractions
+    def entry():
+        num, den = rng.randint(-9, 9), rng.randint(1, 3)
+        return num if den == 1 else Fraction(num, den)
+
+    return Matrix(RationalField(), [[entry() for _ in range(n)] for _ in range(n)])
+
+
+@pytest.mark.parametrize(
+    "make,kind",
+    [
+        (_rational_matrix, Fraction),
+        (lambda rng, n: random_matrix(FootnoteAlgebra(), n, rng), tuple),
+        (lambda rng, n: generic_matrix(n), Polynomial),
+    ],
+    ids=["Q", "footnote", "poly"],
+)
+def test_other_rings_keep_type_and_value(make, kind):
+    # these rings take their own ring operations, not the int path
+    rng = random.Random(41)
+    for n in range(1, 4):
+        A = make(rng, n)
+        ring = A.ring
+        table = A.principal_minors()
+        for s in all_subsets(n):
+            assert ring.eq(table[s], det_leibniz(A.submatrix(s, s)))
+        square = A.mul(A)
+        assert [list(row) for row in square.rows] == schoolbook(A, A)
+        assert A.pow(3) == Matrix(ring, schoolbook(square, A))
+        results = [A.det(), *table.values.values()]
+        results += [v for M in (A.adjugate(), square, A.pow(3)) for row in M.rows for v in row]
+        assert all(isinstance(v, kind) for v in results)

@@ -28,7 +28,10 @@ class TestRingSpec:
     def test_parses(self, spec, described):
         assert ring_from_spec(spec).describe() == described
 
-    @pytest.mark.parametrize("spec", ["", "rationals", "mod", "mod:", "gf:4"])
+    @pytest.mark.parametrize(
+        "spec", ["", "rationals", "mod", "mod:", "gf:4", "mod:1_6", "mod: +3", "mod:2:3",
+                 "footnote:x", "footnote:", "mod:1", "footnote:4"]
+    )
     def test_rejects_garbage(self, spec):
         with pytest.raises(ValueError):
             ring_from_spec(spec)

@@ -1,7 +1,12 @@
 import hashlib
+import time
+from itertools import product
 
 import pytest
 
+from conftest import det_leibniz, schoolbook
+from minorcalc.matrix import Matrix, all_subsets
+from minorcalc.matrixio import ring_from_spec
 from minorcalc.scan import ScanReport, Violation, reverify_violation, run_scan
 
 
@@ -16,20 +21,35 @@ class TestExhaustiveScan:
     @pytest.mark.parametrize("spec,n", [("mod:2", 2), ("mod:2", 3), ("mod:3", 2), ("mod:4", 2)])
     def test_z2_n2_candidate_count_matches_bruteforce(self, spec, n):
         # independent oracle: every matrix of the space, unit diagonal or
-        # not, through the generic minor table
-        from minorcalc.matrix import Matrix
-        from minorcalc.matrixio import ring_from_spec
-        from itertools import product
-
+        # not, with Leibniz determinants and schoolbook powers in ring ops
         ring = ring_from_spec(spec)
-        expected = 0
+        subsets = all_subsets(n)[1:]
+        expected, violations = 0, []
         for flat in product(range(ring.modulus), repeat=n * n):
-            A = Matrix.from_ints(ring, [flat[r * n : (r + 1) * n] for r in range(n)])
-            if A.principal_minors().all_equal(1):
-                expected += 1
+            A = Matrix(ring, [flat[r * n : (r + 1) * n] for r in range(n)])
+            if any(det_leibniz(A.submatrix(s, s)) != 1 for s in subsets):
+                continue
+            expected += 1
+            B = A
+            for m in (2, 3):
+                B = Matrix(ring, schoolbook(B, A))
+                for s in subsets:
+                    value = det_leibniz(B.submatrix(s, s))
+                    if value != 1:
+                        violations.append(Violation(A.rows, m, s.members(), value))
         report = run_scan(spec, n, 3, "exhaustive")
         assert report.scanned == ring.modulus ** (n * n)
         assert report.candidates == expected
+        assert report.violations == sorted(violations, key=Violation.sort_key)
+
+    @pytest.mark.parametrize("spec,n,candidates", [("mod:16777216", 1, 1), ("mod:64", 2, 256)])
+    def test_large_modulus_under_the_limit_is_quick(self, spec, n, candidates):
+        # the zero-product pairs of Z/k are listed only when n >= 2, where
+        # the limit keeps k <= 64
+        t0 = time.monotonic()
+        report = run_scan(spec, n, 2, "exhaustive")
+        assert time.monotonic() - t0 < 1.0
+        assert report.candidates == candidates
 
     def test_size_limit_enforced(self):
         with pytest.raises(ValueError, match="exceeds the limit"):
@@ -89,7 +109,8 @@ class TestFootnoteScan:
 
 
 def test_mod_violation_reverifies():
-    # a hand-made violation record must round-trip through the generic kernel
+    # a hand-made violation record must round-trip through its JSON form and
+    # the matrix kernel; the kernel's own oracles are in test_matrix.py
     violation = Violation(matrix=((1, 1), (0, 1)), power=2, subset=(1,), value=1)
     assert reverify_violation("mod:4", violation)
     bogus = Violation(matrix=((1, 1), (0, 1)), power=2, subset=(1,), value=3)
@@ -114,9 +135,16 @@ def test_report_json_shape():
          "1915c86eb552ff5b8e9310affec1d23e1ff1713effa08d5825c7cdd0052eca97"),
         (("footnote:2", 4, 2),
          "c4676d761b4fb0d581c599f4175e0a1f6bf2db76de0b48f89a428543ea550893"),
+        (("mod:3", 3, 4, "exhaustive"),
+         "ee9e0cc7abbfa152abc065f6f0c25a2f408ac0dea6279632500b6134129d8b25"),
+        (("mod:4", 3, 4, "exhaustive"),
+         "06b3f24b5430869d9a49a9fb6f4f191902ee05904a6e757c6f4083e829060972"),
     ],
 )
 def test_report_digest_is_pinned(args, digest):
-    # byte-for-byte the reports of the integer-kernel scan this replaced
+    # byte-for-byte the reports of earlier kernels: the Z/2 and footnote
+    # digests come from scan's former integer-only kernel, the Z/3 and Z/4
+    # ones from the ring-op Matrix kernel before its native int path and
+    # the pair-pruned enumeration
     report = run_scan(*args)
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
