@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import combinations, compress
 from typing import Iterable, Iterator
 
-from .rings import IntegerRing, ModularRing, Ring
+from .rings import Ring, int_modulus
 
 # The largest n accepted by the commands and suites that enumerate all
 # 2^n principal minors or subsets of [n].
@@ -114,14 +114,6 @@ def all_subsets(n: int) -> tuple[Subset, ...]:
 @lru_cache
 def _column_bits(n: int) -> tuple[int, ...]:
     return tuple(1 << j for j in range(n))
-
-
-def _int_modulus(ring: Ring):
-    """k over Z/k and 0 over Z, whose elements are plain ints; None over
-    every other ring."""
-    if isinstance(ring, ModularRing):
-        return ring.modulus
-    return 0 if isinstance(ring, IntegerRing) else None
 
 
 class Matrix:
@@ -224,7 +216,7 @@ class Matrix:
             )
         r = self.ring
         cols = tuple(zip(*other.rows))
-        k = _int_modulus(r)
+        k = int_modulus(r)
         if k is None:
             zero, add, mul = r.zero(), r.add, r.mul
             out = []
@@ -302,7 +294,7 @@ class Matrix:
         if self._minor is not None:
             return self._minor
         r, shift, dense = self.ring, self.ncols, self.rows
-        k = _int_modulus(r)
+        k = int_modulus(r)
         if k is None:
             zero, one = r.zero(), r.one()
             add, sub, mul = r.add, r.sub, r.mul

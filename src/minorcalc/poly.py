@@ -238,24 +238,35 @@ class Polynomial:
         """Image under the Z-algebra homomorphism sending each variable to
         its assigned ring element.
 
-        Every variable occurring in the polynomial must be assigned.
+        Every variable occurring in the polynomial must be assigned.  Each
+        packed monomial is decoded inline, highest variable first, and a
+        term costs one ``ring.from_int``, one ``ring.mul`` per variable in
+        it and one ``ring.add``.  The powers of each variable are built
+        once per call, by repeated ``ring.mul``, in a table keyed by the
+        variable's field shift.
         """
-        powers: dict = {}  # variable index -> [1, b, b^2, ...]
+        powers: dict = {}  # field shift -> [1, b, b^2, ...]
+        mul, add, from_int = ring.mul, ring.add, ring.from_int
         total = ring.zero()
         for mono, coeff in self.terms.items():
-            val = ring.from_int(coeff)
-            for k, e in _fields(mono):
-                table = powers.get(k)
+            val = from_int(coeff)
+            rest = mono >> _FIELD
+            while rest:
+                shift = (rest.bit_length() - 1) // _FIELD * _FIELD
+                e = rest >> shift
+                rest ^= e << shift
+                table = powers.get(shift)
                 if table is None:
+                    name = _names[shift // _FIELD]
                     try:
-                        base = assignment[_names[k]]
+                        base = assignment[name]
                     except KeyError:
-                        raise ValueError(f"unassigned variable {_names[k]!r}") from None
-                    table = powers[k] = [ring.one(), base]
+                        raise ValueError(f"unassigned variable {name!r}") from None
+                    table = powers[shift] = [ring.one(), base]
                 while len(table) <= e:
-                    table.append(ring.mul(table[-1], table[1]))
-                val = ring.mul(val, table[e])
-            total = ring.add(total, val)
+                    table.append(mul(table[-1], table[1]))
+                val = mul(val, table[e])
+            total = add(total, val)
         return total
 
     def substitute(self, assignment: Mapping[str, "Polynomial"]) -> "Polynomial":

@@ -3,6 +3,13 @@
 A ring is an object that knows how to combine its elements; elements
 themselves are plain Python values (ints, Fractions, tuples, ...).
 Everything is exact: no floating point anywhere.
+
+Over Z, Z/k and F_p the elements are plain ints, and ``int_modulus``
+says so: k for Z/k and F_k, 0 for Z, None otherwise.  The matrix kernel
+and the quotient algebra both use it to pick native int arithmetic,
+reduced mod k once per result, over the ring's own operations.
+``PrimeField`` checks its modulus with deterministic Miller-Rabin, which
+is exact below ``MR_EXACT_BOUND`` and refuses larger moduli.
 """
 
 from __future__ import annotations
@@ -193,31 +200,55 @@ class PrimeField(ModularRing):
         return f"F_{self.modulus}"
 
 
+# The first 13 primes.  Miller-Rabin with these bases is exact for every
+# n below MR_EXACT_BOUND (Sorenson & Webster, "Strong pseudoprimes to
+# twelve prime bases", 2017).  The first 12 alone are not: the composite
+# 318665857834031151167461 is a strong pseudoprime to all of them.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_EXACT_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test for n < MR_EXACT_BOUND;
+    larger n raise ``ValueError`` rather than get a guess."""
+    if n >= MR_EXACT_BOUND:
+        raise ValueError(
+            f"cannot decide whether {n} is prime: the test is exact only below {MR_EXACT_BOUND}"
+        )
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
+
+
+def int_modulus(ring: Ring):
+    """k over Z/k and F_k and 0 over Z, whose elements are plain ints;
+    None over every other ring.  Z -> Z/k is a ring homomorphism, so
+    native int arithmetic reduced mod k (or not at all over Z) gives the
+    ring's own results."""
+    if isinstance(ring, ModularRing):
+        return ring.modulus
+    return 0 if isinstance(ring, IntegerRing) else None
 
 
 # Basis of the counterexample algebra, in fixed coordinate order.
 FOOTNOTE_BASIS = ("1", "x", "y", "x^2", "y^2", "x^3")
-
-# Nonzero products of non-unit basis elements: (i, j) -> (index, sign).
-# Everything not listed (and not involving the basis element 1) is zero:
-# x*y = 0, x^4 = 0, y^4 = 0, and mixed positive-degree products vanish.
-_FOOTNOTE_TABLE = {
-    (1, 1): (3, 1),   # x * x   = x^2
-    (1, 3): (5, 1),   # x * x^2 = x^3
-    (3, 1): (5, 1),
-    (2, 2): (4, 1),   # y * y   = y^2
-    (2, 4): (5, -1),  # y * y^2 = y^3 = -x^3
-    (4, 2): (5, -1),
-}
 
 
 @dataclass(frozen=True)
@@ -227,9 +258,26 @@ class FootnoteAlgebra(Ring):
 
     Elements are coordinate 6-tuples over the base field with respect to
     the basis (1, x, y, x^2, y^2, x^3).  The base field defaults to Z/2.
+    In that basis x*y = 0, x^4 = y^4 = 0 and y^3 = -x^3, so the product
+    c = a*b has the structure constants
+
+        c0 = a0b0                 c3 = a0b3 + a3b0 + a1b1
+        c1 = a0b1 + a1b0          c4 = a0b4 + a4b0 + a2b2
+        c2 = a0b2 + a2b0          c5 = a0b5 + a5b0 + a1b3 + a3b1 - a2b4 - a4b2
+
+    Over a base whose elements are plain ints (Z, Z/k, F_p) every
+    operation uses int operators and reduces each coordinate mod k once;
+    other bases (Q, ...) compute the same formulas with their own ring
+    operations.
     """
 
     base: Ring = field(default_factory=lambda: PrimeField(2))
+    # int_modulus(base), chosen once per instance; not part of ==, hash
+    # or repr
+    _k: int | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_k", int_modulus(self.base))
 
     def zero(self):
         z = self.base.zero()
@@ -240,33 +288,63 @@ class FootnoteAlgebra(Ring):
         return (self.base.one(), z, z, z, z, z)
 
     def add(self, a, b):
-        return tuple(self.base.add(x, y) for x, y in zip(a, b))
+        k = self._k
+        if k is None:
+            add = self.base.add
+            return tuple(add(x, y) for x, y in zip(a, b))
+        a0, a1, a2, a3, a4, a5 = a
+        b0, b1, b2, b3, b4, b5 = b
+        if k:
+            return ((a0 + b0) % k, (a1 + b1) % k, (a2 + b2) % k,
+                    (a3 + b3) % k, (a4 + b4) % k, (a5 + b5) % k)
+        return (a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5)
+
+    def sub(self, a, b):
+        k = self._k
+        if k is None:
+            sub = self.base.sub
+            return tuple(sub(x, y) for x, y in zip(a, b))
+        a0, a1, a2, a3, a4, a5 = a
+        b0, b1, b2, b3, b4, b5 = b
+        if k:
+            return ((a0 - b0) % k, (a1 - b1) % k, (a2 - b2) % k,
+                    (a3 - b3) % k, (a4 - b4) % k, (a5 - b5) % k)
+        return (a0 - b0, a1 - b1, a2 - b2, a3 - b3, a4 - b4, a5 - b5)
 
     def neg(self, a):
-        return tuple(self.base.neg(x) for x in a)
+        k = self._k
+        if k is None:
+            return tuple(map(self.base.neg, a))
+        if k:
+            return tuple([-x % k for x in a])
+        return tuple([-x for x in a])
 
     def mul(self, a, b):
-        out = list(self.zero())
-        for i, ai in enumerate(a):
-            if self.base.is_zero(ai):
-                continue
-            for j, bj in enumerate(b):
-                if self.base.is_zero(bj):
-                    continue
-                prod = self.base.mul(ai, bj)
-                if i == 0:
-                    out[j] = self.base.add(out[j], prod)
-                elif j == 0:
-                    out[i] = self.base.add(out[i], prod)
-                else:
-                    hit = _FOOTNOTE_TABLE.get((i, j))
-                    if hit is None:
-                        continue
-                    k, sign = hit
-                    if sign < 0:
-                        prod = self.base.neg(prod)
-                    out[k] = self.base.add(out[k], prod)
-        return tuple(out)
+        k = self._k
+        a0, a1, a2, a3, a4, a5 = a
+        b0, b1, b2, b3, b4, b5 = b
+        if k is None:
+            add, sub, mul = self.base.add, self.base.sub, self.base.mul
+            return (
+                mul(a0, b0),
+                add(mul(a0, b1), mul(a1, b0)),
+                add(mul(a0, b2), mul(a2, b0)),
+                add(add(mul(a0, b3), mul(a3, b0)), mul(a1, b1)),
+                add(add(mul(a0, b4), mul(a4, b0)), mul(a2, b2)),
+                sub(
+                    add(add(mul(a0, b5), mul(a5, b0)), add(mul(a1, b3), mul(a3, b1))),
+                    add(mul(a2, b4), mul(a4, b2)),
+                ),
+            )
+        c0 = a0 * b0
+        c1 = a0 * b1 + a1 * b0
+        c2 = a0 * b2 + a2 * b0
+        c3 = a0 * b3 + a3 * b0 + a1 * b1
+        c4 = a0 * b4 + a4 * b0 + a2 * b2
+        c5 = a0 * b5 + a5 * b0 + a1 * b3 + a3 * b1 - a2 * b4 - a4 * b2
+        if k:
+            return (c0 % k, c1 % k, c2 % k, c3 % k, c4 % k, c5 % k)
+        return (c0, c1, c2, c3, c4, c5)
 
     def from_int(self, k: int):
         z = self.base.zero()

@@ -225,6 +225,8 @@ def run_scan(
     if mode == "random" and trials < 1:
         raise ValueError("random mode needs at least 1 trial")
     ring = ring_from_spec(ring_spec)
+    # decided before any work, so a modulus too large to test exits 2 at once
+    exploratory = isinstance(ring, ModularRing) and not _is_prime(ring.modulus)
     t0 = time.monotonic()
     trials_out, seed_out = None, "exhaustive"
     if isinstance(ring, FootnoteAlgebra):
@@ -255,7 +257,7 @@ def run_scan(
         scanned=scanned,
         candidates=candidates,
         violations=sorted(violations, key=Violation.sort_key),
-        exploratory=isinstance(ring, ModularRing) and not _is_prime(ring.modulus),
+        exploratory=exploratory,
         elapsed=time.monotonic() - t0,
     )
 

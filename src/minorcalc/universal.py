@@ -101,11 +101,18 @@ def generic_matrix(n: int) -> Matrix:
     )
 
 
+@lru_cache
+def _p_names(n: int) -> dict[Subset, str]:
+    """Nonempty subset S of [n] -> its minor symbol "p{S}", in canonical
+    subset order; built once per n, like all_subsets."""
+    return {s: pvar(s.members()) for s in all_subsets(n) if len(s) > 0}
+
+
 def _p_symbol(subset: Subset) -> Polynomial:
     # the empty-subset minor is the constant 1, not a variable
     if len(subset) == 0:
         return Polynomial.constant(1)
-    return Polynomial.variable(pvar(subset.members()))
+    return Polynomial.variable(_p_names(subset.n)[subset])
 
 
 def _signed_minor_sums(subsets) -> list[Polynomial]:
@@ -148,16 +155,15 @@ def eval_universal(U: UniversalPolynomial, table, ring: Ring):
     """Substitute a matrix's principal minors for the p{S} symbols."""
     if table.n != U.n:
         raise ValueError(f"minor table for n={table.n}, polynomial for n={U.n}")
-    assignment = {
-        pvar(s.members()): table[s] for s in all_subsets(U.n) if len(s) > 0
-    }
+    values = table.values
+    assignment = {name: values[s.mask] for s, name in _p_names(U.n).items()}
     return U.body.eval(assignment, ring)
 
 
 def minor_assignment(A: Matrix) -> dict:
     """p{S} -> principal minor of A, for evaluating p-polynomials."""
-    table = A.principal_minors()
-    return {pvar(s.members()): table[s] for s in all_subsets(A.nrows) if len(s) > 0}
+    values = A.principal_minors().values
+    return {name: values[s.mask] for s, name in _p_names(A.nrows).items()}
 
 
 def verify_symbolic(n: int, i: int, m: int) -> bool:

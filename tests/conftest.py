@@ -63,3 +63,43 @@ def schoolbook(A, B):
             row.append(acc)
         out.append(row)
     return out
+
+
+# Nonzero products of non-unit basis elements of the quotient algebra, in
+# the basis (1, x, y, x^2, y^2, x^3): (i, j) -> (index, sign).  Everything
+# not listed (and not involving the basis element 1) is zero: x*y = 0,
+# x^4 = 0, y^4 = 0, and mixed positive-degree products vanish.
+_FOOTNOTE_TABLE = {
+    (1, 1): (3, 1),   # x * x   = x^2
+    (1, 3): (5, 1),   # x * x^2 = x^3
+    (3, 1): (5, 1),
+    (2, 2): (4, 1),   # y * y   = y^2
+    (2, 4): (5, -1),  # y * y^2 = y^3 = -x^3
+    (4, 2): (5, -1),
+}
+
+
+def footnote_mul_oracle(base: Ring, a, b):
+    """Independent quotient-algebra product oracle: the 6x6 table of basis
+    products, summed through the base ring's operations."""
+    out = [base.zero()] * 6
+    for i, ai in enumerate(a):
+        if base.is_zero(ai):
+            continue
+        for j, bj in enumerate(b):
+            if base.is_zero(bj):
+                continue
+            prod = base.mul(ai, bj)
+            if i == 0:
+                out[j] = base.add(out[j], prod)
+            elif j == 0:
+                out[i] = base.add(out[i], prod)
+            else:
+                hit = _FOOTNOTE_TABLE.get((i, j))
+                if hit is None:
+                    continue
+                k, sign = hit
+                if sign < 0:
+                    prod = base.neg(prod)
+                out[k] = base.add(out[k], prod)
+    return tuple(out)

@@ -5,6 +5,7 @@
 """
 
 import json
+import time
 
 import pytest
 
@@ -220,12 +221,26 @@ class TestCounterexample:
             main(["counterexample", "--base", "4"])
         assert exc.value.code == 2
 
+    def test_large_prime_base_is_quick(self, capsys):
+        t0 = time.perf_counter()
+        rc = main(["counterexample", "--base", "1000000000000000003"])
+        assert rc == 0
+        assert time.perf_counter() - t0 < 2
+        assert "over F_1000000000000000003" in capsys.readouterr().out
+
 
 class TestScan:
     def test_clean_scan_exits_zero(self, capsys):
         rc = main(["scan", "--ring", "mod:2", "--n", "2", "--m-max", "3"])
         assert rc == 0
         assert "violations: 0" in capsys.readouterr().out
+
+    def test_modulus_beyond_the_primality_test_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--ring", "mod:3317044064679887385961981", "--n", "2",
+                  "--mode", "random", "--trials", "1"])
+        assert exc.value.code == 2
+        assert "cannot decide whether" in capsys.readouterr().err
 
     def test_footnote_scan_exits_one(self, capsys):
         rc = main(["scan", "--ring", "footnote:2", "--n", "4", "--m-max", "2"])

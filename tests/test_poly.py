@@ -1,11 +1,11 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from minorcalc import poly
 from minorcalc.poly import POLY_RING, Polynomial, pvar, qvar, var_key, xvar
-from minorcalc.rings import IntegerRing, ModularRing
+from minorcalc.rings import FootnoteAlgebra, IntegerRing, ModularRing
 from minorcalc.universal import synth_diag
 
 Z = IntegerRing()
@@ -188,6 +188,43 @@ def test_arithmetic_matches_plain_int_evaluation(f_terms, g_terms, k, point):
     assert (f - g).eval(point, Z) == fv - gv
     assert (f * g).eval(point, Z) == fv * gv
     assert (f ** k).eval(point, Z) == fv**k
+
+
+def _ring_op_eval(terms, point, ring):
+    # the oracle: a raw term list evaluated by repeated ring.mul, with no
+    # packed monomial in sight
+    total = ring.zero()
+    for mono, coeff in terms:
+        value = ring.from_int(coeff)
+        for name, exp in mono:
+            for _ in range(exp):
+                value = ring.mul(value, point[name])
+        total = ring.add(total, value)
+    return total
+
+
+_FOOTNOTE = FootnoteAlgebra()
+_bits = st.integers(0, 1)
+_footnote_points = st.fixed_dictionaries(
+    {name: st.tuples(*[_bits] * 6) for name in _NAMES}
+)
+_small_linear = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3)).map(
+    lambda c: c[0] + c[1] * P("u") + c[2] * P("v")
+)
+_poly_points = st.fixed_dictionaries({name: _small_linear for name in _NAMES})
+
+
+@given(_term_lists, _footnote_points)
+def test_eval_over_the_quotient_algebra_matches_ring_op_oracle(terms, point):
+    f = _poly_from_terms(terms)
+    assert f.eval(point, _FOOTNOTE) == _ring_op_eval(terms, point, _FOOTNOTE)
+
+
+@settings(deadline=None)
+@given(_term_lists, _poly_points)
+def test_eval_over_polynomials_matches_ring_op_oracle(terms, point):
+    f = _poly_from_terms(terms)
+    assert f.eval(point, POLY_RING) == _ring_op_eval(terms, point, POLY_RING)
 
 
 def test_printing_ignores_interning_order():

@@ -5,13 +5,14 @@ import pytest
 
 from minorcalc.matrix import Matrix, Subset, all_subsets, diag_reindex
 from minorcalc.poly import POLY_RING, Polynomial, pvar, qvar, var_key
-from minorcalc.rings import IntegerRing, ModularRing, PrimeField
+from minorcalc.rings import FootnoteAlgebra, IntegerRing, ModularRing, PrimeField, RationalField
 from minorcalc.series import TruncatedSeries
 from minorcalc.universal import (
     OffDiagCertificate,
     eval_certificate,
     eval_universal,
     generic_matrix,
+    minor_assignment,
     offdiag_series_coeffs,
     synth_diag,
     synth_offdiag,
@@ -119,7 +120,15 @@ class TestEvalUniversal:
             eval_universal(synth_diag(3, 1, 2), A.principal_minors(), Z)
 
     def test_defining_identity_random_rings(self):
-        rings = [Z, PrimeField(2), ModularRing(4), PrimeField(101)]
+        rings = [
+            Z,
+            PrimeField(2),
+            ModularRing(4),
+            PrimeField(101),
+            FootnoteAlgebra(),
+            FootnoteAlgebra(PrimeField(3)),
+            FootnoteAlgebra(RationalField()),
+        ]
         from minorcalc.suites import random_matrix
 
         for ring in rings:
@@ -133,6 +142,14 @@ class TestEvalUniversal:
                 for i in range(1, n + 1):
                     got = eval_universal(synth_diag(n, i, m), table, ring)
                     assert ring.eq(got, power.entry(i, i))
+
+    def test_minor_assignment_names_every_nonempty_subset(self):
+        rng = random.Random(14)
+        A = Matrix.from_ints(Z, [[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)])
+        table = A.principal_minors()
+        want = {pvar(s.members()): table[s] for s in all_subsets(4) if len(s) > 0}
+        got = minor_assignment(A)
+        assert list(got.items()) == list(want.items())
 
     def test_reduction_commutes_with_evaluation(self):
         # evaluating over Z then reducing mod 4 equals evaluating the
