@@ -2,15 +2,17 @@
 submatrices, division-free determinants, adjugates and principal minors.
 
 All public indexing is 1-based.  Every determinant, principal minor and
-adjugate entry comes from one memoized Laplace recursion keyed by a
-(row mask, column mask) pair of integers: it expands along the lowest
-remaining row over that row's nonzero entries, which each matrix lists
-once per row.  It needs no division and therefore works over every ring
-instance (Z/4, the counterexample algebra, ...).  Over Z and Z/k, whose
-elements are plain ints, the recursion and the matrix product use
-native int arithmetic and reduce mod k once per memo entry or product
-entry; Z -> Z/k is a ring homomorphism, so the residues are exact.
-Other rings go through their own ring operations.
+adjugate entry comes from one Laplace expansion along the lowest
+remaining row.  Its shape depends only on the size and on the minors
+asked for, so it is unrolled once per (n, targets) into a program over
+(row mask, column mask) pairs, smaller minors first, and each matrix
+runs that program as one flat loop that skips its zero entries.  It
+needs no division and therefore works over every ring instance (Z/4,
+the counterexample algebra, ...).  Over Z and Z/k, whose elements are
+plain ints, the loop and the matrix product use native int arithmetic
+and reduce mod k once per minor or product entry; Z -> Z/k is a ring
+homomorphism, so the residues are exact.  Other rings go through their
+own ring operations.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, compress
+from itertools import combinations
 from typing import Iterable, Iterator
 
 from .rings import Ring, int_modulus
@@ -111,15 +113,10 @@ def all_subsets(n: int) -> tuple[Subset, ...]:
     )
 
 
-@lru_cache
-def _column_bits(n: int) -> tuple[int, ...]:
-    return tuple(1 << j for j in range(n))
-
-
 class Matrix:
     """Immutable dense matrix over a commutative ring."""
 
-    __slots__ = ("ring", "nrows", "ncols", "rows", "_minor")
+    __slots__ = ("ring", "nrows", "ncols", "rows")
 
     def __init__(self, ring: Ring, rows: Iterable[Iterable]):
         rows = tuple(tuple(r) for r in rows)
@@ -130,7 +127,6 @@ class Matrix:
         self.nrows = len(rows)
         self.ncols = ncols
         self.rows = rows
-        self._minor = None
 
     @classmethod
     def identity(cls, ring: Ring, n: int) -> "Matrix":
@@ -173,10 +169,6 @@ class Matrix:
 
     def __hash__(self):
         return hash((self.ring, self.rows))
-
-    def __reduce__(self):
-        # pickle the entries only; the cached Laplace recursion is rebuilt
-        return Matrix, (self.ring, self.rows)
 
     def __repr__(self):
         body = "; ".join(
@@ -276,115 +268,122 @@ class Matrix:
 
     # -- determinants -------------------------------------------------
 
-    def det(self, _memo: dict | None = None):
-        """Division-free determinant (memoized Laplace expansion).
+    def _minors(self, targets: tuple) -> list:
+        """The minors on ``targets``, (row mask, column mask) pairs of
+        equal popcount, by running their Laplace program as one loop."""
+        n, rows, r = self.nrows, self.rows, self.ring
+        build = _laplace_program if n <= MAX_SIZE else _laplace_program.__wrapped__
+        entries, where = build(n, targets)
+        # vals[-1] is the empty minor, which every 1x1 entry multiplies by
+        vals = [None] * len(entries)
+        k = int_modulus(r)
+        if k is None:
+            zero, add, sub, mul = r.zero(), r.add, r.sub, r.mul
+            vals.append(r.one())
+            nonzero = [[not r.is_zero(e) for e in row] for row in rows]
+            for at, terms in enumerate(entries):
+                acc = zero
+                for i, j, negative, s in terms:
+                    if nonzero[i][j]:
+                        term = mul(rows[i][j], vals[s])
+                        acc = sub(acc, term) if negative else add(acc, term)
+                vals[at] = acc
+        else:
+            vals.append(1)
+            for at, terms in enumerate(entries):
+                acc = 0
+                for i, j, negative, s in terms:
+                    e = rows[i][j]
+                    # a nonzero multiple of k is kept: its term vanishes mod k
+                    if e:
+                        if negative:
+                            acc -= e * vals[s]
+                        else:
+                            acc += e * vals[s]
+                vals[at] = acc % k if k else acc
+        return [vals[t] for t in where]
+
+    def det(self):
+        """Division-free determinant (Laplace expansion).
 
         The empty 0x0 matrix has determinant 1.
         """
         self._require_square("determinant")
-        memo = {} if _memo is None else _memo
         full = (1 << self.nrows) - 1
-        return self._minor_kernel()(full, full, memo)
+        return self._minors(((full, full),))[0]
 
-    def _minor_kernel(self):
-        """The Laplace recursion over this matrix, built on first use:
-        ``minor(rows, cols, memo)`` is the determinant of the submatrix on
-        the row and column bitmasks (equal popcounts), memoized in
-        ``memo`` under one int that packs both masks."""
-        if self._minor is not None:
-            return self._minor
-        r, shift, dense = self.ring, self.ncols, self.rows
-        k = int_modulus(r)
-        if k is None:
-            zero, one = r.zero(), r.one()
-            add, sub, mul = r.add, r.sub, r.mul
-        else:
-            zero, one = 0, 1
-            add, sub, mul = operator.add, operator.sub, operator.mul
-        bits = _column_bits(shift)
-        # per row, the (column bit, entry) pairs of its nonzero entries,
-        # listed when the recursion first expands along that row
-        entries = [None] * self.nrows
-
-        def nonzero(i: int) -> tuple:
-            row = dense[i]
-            # a nonzero int that is a multiple of k is kept: its term
-            # vanishes in the reduction mod k
-            keep = row if k is not None else [not r.is_zero(e) for e in row]
-            entries[i] = found = tuple(compress(zip(bits, row), keep))
-            return found
-
-        def minor(rows: int, cols: int, memo: dict):
-            if not rows:
-                return one
-            key = rows << shift | cols
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
-            low = rows & -rows
-            rest = rows ^ low
-            i = low.bit_length() - 1
-            if not rest:
-                # one row and one column left
-                acc = mul(dense[i][cols.bit_length() - 1], one)
-            else:
-                acc = zero
-                row = entries[i]
-                if row is None:
-                    row = nonzero(i)
-                for bit, e in row:
-                    if cols & bit:
-                        # look the smaller minor up here, saving a call per hit
-                        left = cols ^ bit
-                        term = memo.get(rest << shift | left)
-                        if term is None:
-                            term = minor(rest, left, memo)
-                        term = mul(e, term)
-                        # the sign is the column's position among those left
-                        if (cols & (bit - 1)).bit_count() & 1:
-                            acc = sub(acc, term)
-                        else:
-                            acc = add(acc, term)
-            if k:
-                acc %= k
-            memo[key] = acc
-            return acc
-
-        self._minor = minor
-        return minor
-
-    def principal_minor(self, subset: Subset, _memo: dict | None = None):
+    def principal_minor(self, subset: Subset):
         """det(sub_P^P) for one subset P of [n]."""
         self._require_square("principal minor")
         if subset.n != self.nrows:
             raise ValueError("subset ambient size differs from matrix size")
-        memo = {} if _memo is None else _memo
-        return self._minor_kernel()(subset.mask, subset.mask, memo)
+        return self.submatrix(subset, subset).det()
 
     def principal_minors(self) -> "MinorTable":
-        """All 2^n principal minors, sharing one Laplace memo cache."""
+        """All 2^n principal minors, from one Laplace program."""
         self._require_square("principal minors")
-        minor = self._minor_kernel()
-        memo: dict = {}
-        values = {s.mask: minor(s.mask, s.mask, memo) for s in all_subsets(self.nrows)}
-        return MinorTable(self.nrows, self.ring, values)
+        masks = [s.mask for s in all_subsets(self.nrows)]
+        values = self._minors(_principal_pairs(self.nrows))
+        return MinorTable(self.nrows, self.ring, dict(zip(masks, values)))
 
     def adjugate(self) -> "Matrix":
         """adj B with (adj B)_{i,j} = (-1)^(i+j) det(B_{~j,~i})."""
         self._require_square("adjugate")
-        n = self.nrows
-        r = self.ring
+        n, r = self.nrows, self.ring
         full = (1 << n) - 1
-        minor = self._minor_kernel()
-        memo: dict = {}
+        cofactors = self._minors(
+            tuple((full ^ 1 << j, full ^ 1 << i) for i in range(n) for j in range(n))
+        )
         out = []
         for i in range(n):
-            row = []
-            for j in range(n):
-                value = minor(full ^ (1 << j), full ^ (1 << i), memo)
-                row.append(r.neg(value) if (i + j) & 1 else value)
-            out.append(row)
+            row = cofactors[i * n : i * n + n]
+            out.append([r.neg(v) if (i + j) & 1 else v for j, v in enumerate(row)])
         return Matrix(r, out)
+
+
+@lru_cache
+def _principal_pairs(n: int) -> tuple:
+    """The (mask, mask) targets of every principal minor, in canonical order."""
+    return tuple((s.mask, s.mask) for s in all_subsets(n))
+
+
+@lru_cache
+def _laplace_program(n: int, targets: tuple) -> tuple:
+    """The Laplace expansion of the minors of an n x n matrix on
+    ``targets`` ((row mask, column mask) pairs of equal popcount), along
+    the lowest remaining row, unrolled over the masks alone.
+
+    Returns ``(entries, where)``.  ``entries`` lists every minor the
+    expansion reaches, smaller before larger, each as a tuple of terms
+    ``(row, col, negative, sub)``: the minor is the signed sum of
+    entry(row, col) times entry ``sub`` of the list, or times 1 when
+    ``sub`` is -1.  ``where`` gives the entry of each target, -1 for the
+    empty minor.  The program depends only on n and the targets, so every
+    matrix of that size shares it.
+    """
+    seen = {}
+    stack = [t for t in targets if t[0]]
+    while stack:
+        key = stack.pop()
+        if key not in seen:
+            seen[key] = None
+            rows, cols = key
+            rest = rows & (rows - 1)
+            if rest:
+                stack += [(rest, cols ^ 1 << j) for j in range(n) if cols >> j & 1]
+    order = sorted(seen, key=lambda key: key[0].bit_count())
+    index = {key: at for at, key in enumerate(order)}
+    entries = []
+    for rows, cols in order:
+        rest = rows & (rows - 1)
+        i = (rows ^ rest).bit_length() - 1
+        # the sign is the column's position among those left
+        entries.append(tuple(
+            (i, j, (cols & ((1 << j) - 1)).bit_count() & 1 == 1,
+             index[rest, cols ^ 1 << j] if rest else -1)
+            for j in range(n) if cols >> j & 1
+        ))
+    return tuple(entries), tuple(index[t] if t[0] else -1 for t in targets)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from minorcalc.matrix import (
     MAX_SIZE,
     Matrix,
     Subset,
+    _laplace_program,
     all_subsets,
     diag_reindex,
     quasiprincipal_minor,
@@ -150,7 +151,7 @@ class TestDeterminant:
             Matrix.zeros(Z, 2, 3).det()
 
     def test_pickles_after_use(self):
-        # the recursion a matrix caches on first use is not part of its state
+        # the Laplace programs are shared per size, not part of a matrix's state
         A = Matrix.from_ints(ModularRing(4), [[1, 2], [3, 1]])
         table = A.principal_minors()
         B = pickle.loads(pickle.dumps(A))
@@ -303,12 +304,11 @@ def _int_ring_pairs(draw):
 def test_int_path_matches_ring_op_oracles(pair):
     A, B = pair
     ring, n = A.ring, A.nrows
-    memo: dict = {}
     table = A.principal_minors()
     results = []
     for s in all_subsets(n):
         expected = det_leibniz(A.submatrix(s, s))
-        assert A.principal_minor(s, memo) == table[s] == expected
+        assert A.principal_minor(s) == table[s] == expected
         results.append(table[s])
     assert A.det() == det_leibniz(A)
     full = Subset.full(n)
@@ -362,3 +362,77 @@ def test_other_rings_keep_type_and_value(make, kind):
         results = [A.det(), *table.values.values()]
         results += [v for M in (A.adjugate(), square, A.pow(3)) for row in M.rows for v in row]
         assert all(isinstance(v, kind) for v in results)
+
+
+_X, _Y = Polynomial.variable("x"), Polynomial.variable("y")
+
+# each ring with a strategy for its elements; over Z some exceed 2^64
+_ORACLE_RINGS = [
+    (Z, st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70))),
+    (ModularRing(4), st.integers(0, 3)),
+    (ModularRing(6), st.integers(0, 5)),
+    (PrimeField(101), st.integers(0, 100)),
+    (RationalField(), st.fractions(-3, 3, max_denominator=4)),
+    (FootnoteAlgebra(), st.tuples(*[st.integers(0, 1)] * 6)),
+    (POLY_RING, st.sampled_from([Polynomial.constant(2), -_X, _Y, _X * _Y - 3])),
+]
+
+
+@st.composite
+def _zero_heavy_matrices(draw):
+    """An n x n matrix (n <= 5) whose entries are zero about half the
+    time, dense or of the two shapes scans produce: unitriangular, and
+    unit diagonal with a_ij or a_ji zero for every pair i < j."""
+    ring, element = draw(st.sampled_from(_ORACLE_RINGS))
+    n = draw(st.integers(0, 5))
+    entry = st.one_of(st.just(ring.zero()), element)
+    a = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    shape = draw(st.sampled_from(["dense", "unitriangular", "pair-pruned"]))
+    if shape != "dense":
+        for i in range(n):
+            a[i][i] = ring.one()
+            for j in range(i):
+                if shape == "unitriangular" or draw(st.booleans()):
+                    a[i][j] = ring.zero()
+                else:
+                    a[j][i] = ring.zero()
+    return Matrix(ring, a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_zero_heavy_matrices())
+def test_laplace_program_matches_leibniz(A):
+    ring, n = A.ring, A.nrows
+    table = A.principal_minors()
+    for s in all_subsets(n):
+        expected = det_leibniz(A.submatrix(s, s))
+        assert ring.eq(table[s], expected)
+        assert ring.eq(A.principal_minor(s), expected)
+    assert ring.eq(A.det(), det_leibniz(A))
+    full = Subset.full(n)
+    adj = A.adjugate()
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            minor = det_leibniz(A.submatrix(full.without(j), full.without(i)))
+            assert ring.eq(adj.entry(i, j), minor if (i + j) % 2 == 0 else ring.neg(minor))
+
+
+def test_laplace_program_sizes():
+    sizes = []
+    for n in range(1, MAX_SIZE + 1):
+        entries, where = _laplace_program(n, tuple((s.mask, s.mask) for s in all_subsets(n)))
+        assert len(where) == 2**n
+        sizes.append(len(entries))
+    assert sizes == [1, 4, 12, 33, 88, 232, 609, 1596]
+    assert sum(map(len, entries)) == 5911
+
+
+def test_det_above_max_size_is_not_cached():
+    rng = random.Random(53)
+    n = 10
+    assert n > MAX_SIZE
+    upper = [[rng.randint(-9, 9) if j > i else int(i == j) for j in range(n)] for i in range(n)]
+    A = Matrix(Z, upper)
+    before = _laplace_program.cache_info().currsize
+    assert A.det() == 1
+    assert _laplace_program.cache_info().currsize == before
