@@ -11,12 +11,18 @@ The construction works with power series in t over Z[p{S}]:
 and the t^m coefficient f_m of f(t) = a(t) / d(t) is the wanted
 polynomial, because the t^m coefficient of ((I - tA)^-1)_{i,i} is
 (A^m)_{i,i}.  Since d has degree n and d_0 = 1, the division is the
-order-n recurrence f_k = a_k - sum_{j=1..n} d_j f_{k-j}.
+order-n recurrence f_k = a_k - sum_{j=1..n} d_j f_{k-j}.  synth_diag
+runs it as one ascending loop over k = 0..m and takes each f_k it can
+from a live result for (n, i, k), so a sweep over m does each step once.
+It finds them through a weak view, which keeps nothing alive: after
+synth_diag.cache_clear() nothing is reused or held, and predecessors no
+one asked for are dropped when the call returns.
 """
 
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -118,29 +124,43 @@ def _p_symbol(subset: Subset) -> Polynomial:
 def _signed_minor_sums(subsets) -> list[Polynomial]:
     """Series coefficients c_k = (-1)^k * sum of p{P} over the given
     subsets P with |P| = k."""
-    coeffs = [Polynomial({}) for _ in range(max(map(len, subsets)) + 1)]
+    coeffs: list = [{} for _ in range(max(map(len, subsets)) + 1)]
     for subset in subsets:
         k = len(subset)
-        term = _p_symbol(subset)
-        coeffs[k] = coeffs[k] + (-term if k & 1 else term)
-    return coeffs
+        for mono, c in _p_symbol(subset).terms.items():
+            coeffs[k][mono] = -c if k & 1 else c
+    return [Polynomial(c) for c in coeffs]
 
 
-def _series_quotient(d: list, a: list, m: int) -> list[Polynomial]:
-    """Coefficients f_0..f_m of a(t) / d(t) for d_0 = 1, by the recurrence
-    f_k = a_k - sum_{j=1..deg d} d_j f_{k-j}."""
-    f = []
-    for k in range(m + 1):
-        acc = a[k] if k < len(a) else Polynomial({})
-        for j in range(1, min(k, len(d) - 1) + 1):
-            acc = acc - d[j] * f[k - j]
-        f.append(acc)
-    return f
+def _next_coeff(d: list, a: list, f: list) -> Polynomial:
+    """f_k of a(t) / d(t), d_0 = 1, for k = len(f): a_k - sum_j d_j f_{k-j},
+    accumulated in one dict.  Every d_j and a_k is linear, so f_k has
+    degree at most k and no packed field can carry before k = 2^32: the
+    degree check of Polynomial.__mul__ is not needed here."""
+    k = len(f)
+    acc = dict(a[k].terms) if k < len(a) else {}
+    get = acc.get
+    for j in range(1, min(k, len(d) - 1) + 1):
+        right = f[k - j].terms.items()
+        for m1, c1 in d[j].terms.items():
+            for m2, c2 in right:
+                mono = m1 + m2
+                acc[mono] = get(mono, 0) - c1 * c2
+    return Polynomial({mono: c for mono, c in acc.items() if c})
+
+
+# (n, i, m) -> the synth_diag result while something else keeps it alive
+_live: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 @lru_cache(maxsize=None)
 def synth_diag(n: int, i: int, m: int) -> UniversalPolynomial:
-    """The canonical universal polynomial for (A^m)_{i,i}."""
+    """The canonical universal polynomial for (A^m)_{i,i}.
+
+    f_k for k = 0..m is the body of a live result for (n, i, k) where
+    there is one, and one recurrence step otherwise; each miss enters its
+    result in the weak view _live.  The loop does not recurse, so m is
+    bounded only by time and memory."""
     require_size("n", n, 1)
     if not 1 <= i <= n:
         raise ValueError(f"index i={i} outside [n]={list(range(1, n + 1))}")
@@ -148,7 +168,12 @@ def synth_diag(n: int, i: int, m: int) -> UniversalPolynomial:
         raise ValueError("m must be nonnegative")
     d = _signed_minor_sums(all_subsets(n))
     a = _signed_minor_sums([diag_reindex(P, i) for P in all_subsets(n - 1)])
-    return UniversalPolynomial(n, i, m, _series_quotient(d, a, m)[m])
+    f: list = []
+    for k in range(m + 1):
+        live = _live.get((n, i, k))
+        f.append(_next_coeff(d, a, f) if live is None else live.body)
+    _live[n, i, m] = result = UniversalPolynomial(n, i, m, f[m])
+    return result
 
 
 def eval_universal(U: UniversalPolynomial, table, ring: Ring):
@@ -215,7 +240,10 @@ def synth_offdiag(n: int, i: int, j: int, m: int) -> OffDiagCertificate:
     if m < 0:
         raise ValueError("m must be nonnegative")
     # 1/d(t) up to t^(m-1): every P has |P| >= 2
-    g = _series_quotient(_signed_minor_sums(all_subsets(n)), [Polynomial.constant(1)], m - 1)
+    d, one = _signed_minor_sums(all_subsets(n)), [Polynomial.constant(1)]
+    g: list = []
+    while len(g) < m:
+        g.append(_next_coeff(d, one, g))
     terms = []
     for P in all_subsets(n):
         k = len(P) - 1

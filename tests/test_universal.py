@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 
@@ -6,6 +7,7 @@ import pytest
 from minorcalc.matrix import Matrix, Subset, all_subsets, diag_reindex
 from minorcalc.poly import POLY_RING, Polynomial, pvar, qvar, var_key
 from minorcalc.rings import FootnoteAlgebra, IntegerRing, ModularRing, PrimeField, RationalField
+from minorcalc import universal
 from minorcalc.series import TruncatedSeries
 from minorcalc.universal import (
     OffDiagCertificate,
@@ -273,6 +275,12 @@ def _minor_series(subsets, order):
     return TruncatedSeries(POLY_RING, order, coeffs)
 
 
+def _diag_series(n, i, order):
+    """a(t) * d(t)^-1 through the series inverse, truncated at t^order."""
+    d_inv = _minor_series(all_subsets(n), order).inverse()
+    return d_inv * _minor_series([diag_reindex(S, i) for S in all_subsets(n - 1)], order)
+
+
 class TestSeriesInverseOracle:
     """Synthesis against the slower construction through the inverse of
     the determinant series and a full series product."""
@@ -280,10 +288,8 @@ class TestSeriesInverseOracle:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_diag(self, n):
         for m in range(7):
-            d_inv = _minor_series(all_subsets(n), m).inverse()
             for i in range(1, n + 1):
-                a = _minor_series([diag_reindex(S, i) for S in all_subsets(n - 1)], m)
-                assert synth_diag(n, i, m).body == (d_inv * a).coefficient(m)
+                assert synth_diag(n, i, m).body == _diag_series(n, i, m).coefficient(m)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_offdiag(self, n):
@@ -302,6 +308,75 @@ class TestSeriesInverseOracle:
                         Polynomial({}),
                     )
                     assert total == (d_inv * a_off).coefficient(m)
+
+
+class TestReuseOracle:
+    """synth_diag takes f_k from live results for (n, i, k); results that
+    reuse them against results computed with nothing live."""
+
+    M_MAX = 7
+
+    def _keys(self, n):
+        return [(i, m) for i in range(1, n + 1) for m in range(self.M_MAX + 1)]
+
+    def _ascending(self, n):
+        synth_diag.cache_clear()
+        return {key: synth_diag(n, *key).body for key in self._keys(n)}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_order_matches_ascending_and_series_inverse(self, n):
+        want = self._ascending(n)
+        for i in range(1, n + 1):
+            series = _diag_series(n, i, self.M_MAX)
+            assert all(want[i, m] == series.coefficient(m) for m in range(self.M_MAX + 1))
+        shuffled = self._keys(n)
+        random.Random(80 + n).shuffle(shuffled)
+        for order in (sorted(self._keys(n), reverse=True), shuffled):
+            synth_diag.cache_clear()
+            assert {key: synth_diag(n, *key).body for key in order} == want
+        # uncached calls whose results die at once: nothing is ever live
+        synth_diag.cache_clear()
+        assert {key: synth_diag.__wrapped__(n, *key).body for key in self._keys(n)} == want
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_partial_windows(self, n):
+        want = self._ascending(n)
+        # the verify workload's powers: f_2 and f_4 live, f_3 and f_5 not
+        synth_diag.cache_clear()
+        for m in (2, 4, 6):
+            for i in range(1, n + 1):
+                assert synth_diag(n, i, m).body == want[i, m]
+        # one predecessor kept alive by the caller, none by the cache
+        synth_diag.cache_clear()
+        kept = synth_diag(n, 1, 3)
+        synth_diag.cache_clear()
+        assert synth_diag(n, 1, self.M_MAX).body == want[1, self.M_MAX]
+        assert kept.body == want[1, 3]
+
+    def test_a_sweep_does_each_step_once(self, monkeypatch):
+        steps = []
+        step = universal._next_coeff
+        monkeypatch.setattr(universal, "_next_coeff", lambda *args: steps.append(1) or step(*args))
+        synth_diag.cache_clear()
+        for m in range(self.M_MAX + 1):
+            synth_diag(4, 2, m)
+        assert len(steps) == self.M_MAX + 1
+        synth_diag.cache_clear()
+        steps.clear()
+        for m in range(self.M_MAX, -1, -1):
+            synth_diag(4, 2, m)
+        assert len(steps) == sum(m + 1 for m in range(self.M_MAX + 1))
+
+    def test_cache_clear_leaves_nothing_alive(self):
+        keys = {(n, i, m) for n in range(1, 5) for i in range(1, n + 1) for m in range(6)}
+        synth_diag.cache_clear()
+        for key in sorted(keys) * 2:
+            synth_diag(*key)
+        assert synth_diag.cache_info().misses == len(keys)
+        assert set(universal._live.keys()) == keys
+        synth_diag.cache_clear()
+        gc.collect()
+        assert len(universal._live) == 0
 
 
 def test_synthesis_digest_is_pinned():
