@@ -13,9 +13,9 @@ packed integer (Monagan & Pearce's packed exponent vectors): the lowest
 32-bit field holds its total degree and field k+1 the exponent of
 variable k, so multiplying two monomials is adding two integers.  The
 total degree of every monomial is therefore at most 2^32 - 1.
-Printing sorts terms in graded-lexicographic order under ``var_key``,
-never under interning order, so equal polynomials have identical string
-forms (golden-test friendly).
+Printing sorts one integer print key per term, which orders terms graded
+lexicographically under ``var_key``, never by interning order, so equal
+polynomials have identical string forms (golden-test friendly).
 """
 
 from __future__ import annotations
@@ -280,39 +280,49 @@ class Polynomial:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        # Graded lex, descending: total degree first, then the exponent
-        # sequence with smaller variables (under var_key) more significant.
-        # A factor is coded as rank << _FIELD | (_DEGREE - exponent), so
-        # sorted codes list the variables by rank and compare like the
-        # pairs (rank, -exponent).
-        present = sorted(self.variables(), key=var_key)
-        shifted = {_index[v]: r << _FIELD for r, v in enumerate(present)}
-        rows = []
+        # Graded lex, descending, under var_key, by one int print key per
+        # term: the total degree above one `width`-bit field per present
+        # variable, the smallest under var_key most significant.  `width`
+        # is the bit length of the largest total degree, which bounds every
+        # exponent, so int order on the keys is the print order, and a key
+        # read from its top field down yields its factors in var_key order.
+        support = 0
+        for mono in self.terms:
+            support |= mono
+        width = (support & _DEGREE).bit_length()
+        # key field f holds names[f], so the smallest name comes last
+        names = sorted((_names[k] for k, _ in _fields(support)), key=var_key, reverse=True)
+        place = {_index[v] * _FIELD: f * width for f, v in enumerate(names)}
+        top = len(names) * width
+        keys = {}
         for mono, coeff in self.terms.items():
-            codes = sorted([shifted[k] | (_DEGREE - e) for k, e in _fields(mono)])
-            rows.append((-(mono & _DEGREE), codes, coeff))
-        rows.sort()
-        text: dict = {}  # factor code -> "v" or "v^e"
+            key = (mono & _DEGREE) << top
+            rest = mono >> _FIELD
+            while rest:
+                shift = (rest.bit_length() - 1) // _FIELD * _FIELD
+                e = rest >> shift
+                rest ^= e << shift
+                key |= e << place[shift]
+            keys[key] = coeff
+        low = (1 << top) - 1
+        text: dict = {}  # one key field, in place -> "v" or "v^e"
         parts = []
-        for _, codes, coeff in rows:
-            factors = []
-            for code in codes:
-                s = text.get(code)
+        for key in sorted(keys, reverse=True):
+            coeff, rest = keys[key], key & low
+            factors = [] if coeff in (1, -1) else [str(abs(coeff))]
+            while rest:
+                shift = (rest.bit_length() - 1) // width * width
+                e = rest >> shift
+                field = e << shift
+                rest ^= field
+                s = text.get(field)
                 if s is None:
-                    v, e = present[code >> _FIELD], _DEGREE - (code & _DEGREE)
-                    s = text[code] = v if e == 1 else f"{v}^{e}"
+                    v = names[shift // width]
+                    s = text[field] = v if e == 1 else f"{v}^{e}"
                 factors.append(s)
-            mag = abs(coeff)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(mag)] + factors)
-            if not parts:
-                parts.append(body if coeff > 0 else "-" + body)
-            else:
-                parts.append((" + " if coeff > 0 else " - ") + body)
+            parts.append((" - " if coeff < 0 else " + ") + ("*".join(factors) or "1"))
+        head = parts[0]  # the leading sign is bare: "-x", not " - x"
+        parts[0] = head[3:] if head[1] == "+" else "-" + head[3:]
         return "".join(parts)
 
     def __repr__(self) -> str:

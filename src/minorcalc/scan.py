@@ -151,11 +151,11 @@ def _scan_matrices(matrices, m_max):
         B = A
         for m in range(2, m_max + 1):
             B = B.mul(A)
-            for subset, value in B.principal_minors().items()[1:]:
-                if not ring.eq(value, one):
-                    violations.append(
-                        Violation(A.rows, m, subset.members(), _report_value(ring, value))
-                    )
+            # violations are sorted at the end, so table order does not matter
+            for mask, value in B.principal_minors().values.items():
+                if mask and not ring.eq(value, one):
+                    subset = Subset(A.nrows, mask).members()
+                    violations.append(Violation(A.rows, m, subset, _report_value(ring, value)))
     return candidates, violations
 
 

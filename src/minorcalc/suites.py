@@ -20,7 +20,6 @@ from .universal import (
     offdiag_series_coeffs,
     synth_diag,
     synth_offdiag,
-    verify_symbolic,
 )
 
 DEFAULT_RINGS = {
@@ -63,9 +62,19 @@ def suite_symbolic(n_max: int = 3, m_max: int = 4, extra=((4, 2),)) -> list[str]
     grid = [(n, m) for n in range(1, n_max + 1) for m in range(m_max + 1)]
     for n4, m4 in extra or ():
         grid += [(n4, m) for m in range(m4 + 1)]
+    # the check of verify_symbolic, with the generic matrix and its minor
+    # table built once per run of equal n in the grid and each power once
+    # per (n, m) entry, not once per i; only the current ones are kept
+    last = None
     for n, m in grid:
+        if n != last:
+            table = None  # freed before the next n's is built
+            last, A = n, generic_matrix(n)
+            table = A.principal_minors()
+        power = A.pow(m)
         for i in range(1, n + 1):
-            if not verify_symbolic(n, i, m):
+            lhs = eval_universal(synth_diag(n, i, m), table, POLY_RING)
+            if lhs != power.entry(i, i):
                 failures.append(f"symbolic identity fails at n={n}, i={i}, m={m}")
     return failures
 

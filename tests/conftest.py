@@ -103,3 +103,40 @@ def footnote_mul_oracle(base: Ring, a, b):
                     prod = base.neg(prod)
                 out[k] = base.add(out[k], prod)
     return tuple(out)
+
+
+def str_oracle(f) -> str:
+    """Independent printer oracle: each term's factors decoded field by
+    field into (rank, -exponent) codes and sorted, then the rows sorted by
+    (-degree, codes), which is graded lex, descending, under var_key."""
+    from minorcalc.poly import _DEGREE, _FIELD, _index, var_key
+
+    if not f.terms:
+        return "0"
+    present = sorted(f.variables(), key=var_key)
+    rank = {_index[v]: r for r, v in enumerate(present)}
+    rows = []
+    for mono, coeff in f.terms.items():
+        codes, rest, k = [], mono >> _FIELD, 0
+        while rest:
+            if rest & _DEGREE:
+                codes.append((rank[k], -(rest & _DEGREE)))
+            rest >>= _FIELD
+            k += 1
+        rows.append((-(mono & _DEGREE), sorted(codes), coeff))
+    rows.sort()
+    parts = []
+    for _, codes, coeff in rows:
+        factors = [present[r] if e == -1 else f"{present[r]}^{-e}" for r, e in codes]
+        mag = abs(coeff)
+        if not factors:
+            body = str(mag)
+        elif mag == 1:
+            body = "*".join(factors)
+        else:
+            body = "*".join([str(mag)] + factors)
+        if not parts:
+            parts.append(body if coeff > 0 else "-" + body)
+        else:
+            parts.append((" + " if coeff > 0 else " - ") + body)
+    return "".join(parts)

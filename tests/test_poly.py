@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import str_oracle
 from minorcalc import poly
 from minorcalc.poly import POLY_RING, Polynomial, pvar, qvar, var_key, xvar
 from minorcalc.rings import FootnoteAlgebra, IntegerRing, ModularRing
@@ -239,6 +240,43 @@ def test_printing_ignores_interning_order():
         "-2*p{9}*p{1,2} - p{9}*zz1 + 3*p{1,2}*zz9 + zz1^2 + zz1*zz9 + zz9^2 + p{1,2}"
     )
     assert Polynomial.parse(str(f)) == f
+
+
+# Names no other test uses, interned here in descending var_key order, so
+# interning order is the reverse of print order (zz9 before zz1, p{9,10}
+# before p{11}); mixed with names interned elsewhere.
+_FRESH = ["zz9", "zz1", "q{8,9|9,10}", "q{9|8}", "x{9,9}", "x{9,1}", "p{9,10}", "p{11}"]
+for _name in sorted(_FRESH, key=var_key, reverse=True):
+    P(_name)
+_print_names = st.sampled_from(_FRESH + ["p{1}", "p{1,2}", "x{1,1}", "q{1|2}", "a"])
+# exponents at the edges of a print key's field width: 2^W - 1 and 2^W
+_edge_exponents = st.sampled_from(
+    [1, 2, 3, 4, 7, 8, 15, 16, 255, 256, 65535, 65536, 70000]
+)
+_print_terms = st.lists(
+    st.tuples(
+        st.lists(st.tuples(_print_names, _edge_exponents), max_size=4),
+        st.one_of(st.integers(-3, 3), st.integers(-(10**30), 10**30)),
+    ),
+    max_size=8,
+)
+
+
+@settings(deadline=None)
+@given(_print_terms)
+def test_printing_matches_the_decode_and_sort_oracle(terms):
+    f = _poly_from_terms(terms)
+    assert str(f) == str_oracle(f)
+
+
+def test_printing_at_the_degree_bound():
+    a, b = P("a"), P("b")
+    for f in (a ** (2**32 - 1) + b, a ** (2**32 - 2) * b, 3 * b * a ** (2**32 - 2) - b):
+        assert str(f) == str_oracle(f)
+    assert str(a ** (2**32 - 1) - b) == "a^4294967295 - b"
+    assert str(b * a ** (2**32 - 2) - 1) == "a^4294967294*b - 1"
+    with pytest.raises(OverflowError):
+        a ** (2**32 - 1) * b
 
 
 def test_power_reaches_the_degree_bound_and_no_further():

@@ -265,6 +265,29 @@ def test_all_ones_collapse_small():
     assert suite_all_ones(n_max=3, m_max=5) == []
 
 
+def test_symbolic_suite_reports_what_verify_symbolic_finds(monkeypatch):
+    # the suite shares its generic table across each run of equal n and
+    # each power across i; its failures must still be those of one
+    # verify_symbolic call per (n, i, m), in grid order, repeated where
+    # `extra` overlaps the grid (here it also returns to n = 3 after n = 4)
+    from minorcalc import suites
+
+    bad = {(2, 1, 3), (3, 2, 0), (3, 3, 2), (4, 4, 1)}
+    wrong = lambda n, i, m: synth_diag(n, i, m + 1 if (n, i, m) in bad else m)
+    monkeypatch.setattr(suites, "synth_diag", wrong)
+    monkeypatch.setattr(universal, "synth_diag", wrong)
+    grid = [(n, m) for n in (1, 2, 3) for m in range(4)]
+    grid += [(4, m) for m in range(2)] + [(3, m) for m in range(3)]
+    want = [
+        f"symbolic identity fails at n={n}, i={i}, m={m}"
+        for n, m in grid
+        for i in range(1, n + 1)
+        if not verify_symbolic(n, i, m)
+    ]
+    assert want.count("symbolic identity fails at n=3, i=3, m=2") == 2
+    assert suites.suite_symbolic(3, 3, extra=((4, 1), (3, 2))) == want
+
+
 def _minor_series(subsets, order):
     """sum of (-1)^|S| p{S} t^|S| over the subsets, truncated at t^order."""
     coeffs = [POLY_RING.zero()] * (order + 1)
