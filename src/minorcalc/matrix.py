@@ -3,26 +3,27 @@ submatrices, division-free determinants, adjugates and principal minors.
 
 All public indexing is 1-based.  Every determinant, principal minor and
 adjugate entry comes from one Laplace expansion along the lowest
-remaining row.  Its shape depends only on the size and on the minors
-asked for, so it is unrolled once per (n, targets) into a program over
-(row mask, column mask) pairs, smaller minors first, and each matrix
-runs that program as one flat loop that skips its zero entries.  It
-needs no division and therefore works over every ring instance (Z/4,
-the counterexample algebra, ...).  Over Z and Z/k, whose elements are
-plain ints, the loop and the matrix product use native int arithmetic
-and reduce mod k once per minor or product entry; Z -> Z/k is a ring
-homomorphism, so the residues are exact.  Other rings go through their
-own ring operations.
+remaining row, unrolled once per size and set of minors into a program
+(see ``laplace``).  It needs no division and therefore works over every
+ring instance (Z/4, the counterexample algebra, ...).
+
+Over Z and Z/k, whose elements are plain ints, minors and products of
+sizes up to MAX_SIZE come from straight-line int kernels generated once
+per size, reduced mod k once per minor or product entry (not at all over
+Z); Z -> Z/k is a ring homomorphism, so the residues are exact.  Other
+rings, and int rings above MAX_SIZE, where nothing is cached or
+compiled, run the program as one loop through their own ring operations,
+skipping the matrix's zero entries.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator
 
+from .laplace import _laplace_program, _minor_kernel, _product_kernel
 from .rings import Ring, int_modulus
 
 # The largest n accepted by the commands and suites that enumerate all
@@ -129,6 +130,13 @@ class Matrix:
         self.rows = rows
 
     @classmethod
+    def _of(cls, ring: Ring, rows: tuple, ncols: int) -> "Matrix":
+        """A matrix on ``rows``, row tuples of length ``ncols``, unchecked."""
+        self = object.__new__(cls)
+        self.ring, self.nrows, self.ncols, self.rows = ring, len(rows), ncols, rows
+        return self
+
+    @classmethod
     def identity(cls, ring: Ring, n: int) -> "Matrix":
         one, zero = ring.one(), ring.zero()
         return cls(ring, [[one if i == j else zero for j in range(n)] for i in range(n)])
@@ -206,24 +214,22 @@ class Matrix:
                 f"inner dimensions differ: {self.nrows}x{self.ncols} vs "
                 f"{other.nrows}x{other.ncols}"
             )
-        r = self.ring
-        cols = tuple(zip(*other.rows))
+        r, p, q, s = self.ring, self.nrows, self.ncols, other.ncols
         k = int_modulus(r)
-        if k is None:
-            zero, add, mul = r.zero(), r.add, r.mul
-            out = []
-            for row in self.rows:
-                out_row = []
-                for col in cols:
-                    acc = zero
-                    for a, b in zip(row, col):
-                        acc = add(acc, mul(a, b))
-                    out_row.append(acc)
-                out.append(out_row)
-        elif k:
-            out = [[sum(map(operator.mul, row, col)) % k for col in cols] for row in self.rows]
-        else:
-            out = [[sum(map(operator.mul, row, col)) for col in cols] for row in self.rows]
+        if k is not None and max(p, q, s) <= MAX_SIZE:
+            kernel = _product_kernel(p, q, s, k != 0)
+            return Matrix._of(r, kernel(self.rows, other.rows, k), s)
+        cols = tuple(zip(*other.rows))
+        zero, add, mul = r.zero(), r.add, r.mul
+        out = []
+        for row in self.rows:
+            out_row = []
+            for col in cols:
+                acc = zero
+                for a, b in zip(row, col):
+                    acc = add(acc, mul(a, b))
+                out_row.append(acc)
+            out.append(out_row)
         return Matrix(r, out)
 
     def __matmul__(self, other):
@@ -268,39 +274,30 @@ class Matrix:
 
     # -- determinants -------------------------------------------------
 
-    def _minors(self, targets: tuple) -> list:
+    def _minors(self, targets: tuple):
         """The minors on ``targets``, (row mask, column mask) pairs of
-        equal popcount, by running their Laplace program as one loop."""
+        equal popcount: through the generated kernel over int rings up to
+        MAX_SIZE, else by running their Laplace program as one loop over
+        the ring's operations that skips the zero entries."""
         n, rows, r = self.nrows, self.rows, self.ring
-        build = _laplace_program if n <= MAX_SIZE else _laplace_program.__wrapped__
-        entries, where = build(n, targets)
-        # vals[-1] is the empty minor, which every 1x1 entry multiplies by
-        vals = [None] * len(entries)
         k = int_modulus(r)
-        if k is None:
-            zero, add, sub, mul = r.zero(), r.add, r.sub, r.mul
-            vals.append(r.one())
-            nonzero = [[not r.is_zero(e) for e in row] for row in rows]
-            for at, terms in enumerate(entries):
-                acc = zero
-                for i, j, negative, s in terms:
-                    if nonzero[i][j]:
-                        term = mul(rows[i][j], vals[s])
-                        acc = sub(acc, term) if negative else add(acc, term)
-                vals[at] = acc
+        if n <= MAX_SIZE:
+            if k is not None:
+                return _minor_kernel(n, targets, k != 0)(rows, k)
+            entries, where = _laplace_program(n, targets)
         else:
-            vals.append(1)
-            for at, terms in enumerate(entries):
-                acc = 0
-                for i, j, negative, s in terms:
-                    e = rows[i][j]
-                    # a nonzero multiple of k is kept: its term vanishes mod k
-                    if e:
-                        if negative:
-                            acc -= e * vals[s]
-                        else:
-                            acc += e * vals[s]
-                vals[at] = acc % k if k else acc
+            entries, where = _laplace_program.__wrapped__(n, targets)
+        # vals[-1] is the empty minor, which every 1x1 entry multiplies by
+        vals = [None] * len(entries) + [r.one()]
+        zero, add, sub, mul = r.zero(), r.add, r.sub, r.mul
+        nonzero = [[not r.is_zero(e) for e in row] for row in rows]
+        for at, terms in enumerate(entries):
+            acc = zero
+            for i, j, negative, s in terms:
+                if nonzero[i][j]:
+                    term = mul(rows[i][j], vals[s])
+                    acc = sub(acc, term) if negative else add(acc, term)
+            vals[at] = acc
         return [vals[t] for t in where]
 
     def det(self):
@@ -322,9 +319,9 @@ class Matrix:
     def principal_minors(self) -> "MinorTable":
         """All 2^n principal minors, from one Laplace program."""
         self._require_square("principal minors")
-        masks = [s.mask for s in all_subsets(self.nrows)]
-        values = self._minors(_principal_pairs(self.nrows))
-        return MinorTable(self.nrows, self.ring, dict(zip(masks, values)))
+        n = self.nrows
+        values = self._minors(_principal_pairs(n))
+        return MinorTable(n, self.ring, dict(zip(_principal_masks(n), values)))
 
     def adjugate(self) -> "Matrix":
         """adj B with (adj B)_{i,j} = (-1)^(i+j) det(B_{~j,~i})."""
@@ -342,48 +339,15 @@ class Matrix:
 
 
 @lru_cache
-def _principal_pairs(n: int) -> tuple:
-    """The (mask, mask) targets of every principal minor, in canonical order."""
-    return tuple((s.mask, s.mask) for s in all_subsets(n))
+def _principal_masks(n: int) -> tuple:
+    """The mask of every subset of [n], in canonical order."""
+    return tuple(s.mask for s in all_subsets(n))
 
 
 @lru_cache
-def _laplace_program(n: int, targets: tuple) -> tuple:
-    """The Laplace expansion of the minors of an n x n matrix on
-    ``targets`` ((row mask, column mask) pairs of equal popcount), along
-    the lowest remaining row, unrolled over the masks alone.
-
-    Returns ``(entries, where)``.  ``entries`` lists every minor the
-    expansion reaches, smaller before larger, each as a tuple of terms
-    ``(row, col, negative, sub)``: the minor is the signed sum of
-    entry(row, col) times entry ``sub`` of the list, or times 1 when
-    ``sub`` is -1.  ``where`` gives the entry of each target, -1 for the
-    empty minor.  The program depends only on n and the targets, so every
-    matrix of that size shares it.
-    """
-    seen = {}
-    stack = [t for t in targets if t[0]]
-    while stack:
-        key = stack.pop()
-        if key not in seen:
-            seen[key] = None
-            rows, cols = key
-            rest = rows & (rows - 1)
-            if rest:
-                stack += [(rest, cols ^ 1 << j) for j in range(n) if cols >> j & 1]
-    order = sorted(seen, key=lambda key: key[0].bit_count())
-    index = {key: at for at, key in enumerate(order)}
-    entries = []
-    for rows, cols in order:
-        rest = rows & (rows - 1)
-        i = (rows ^ rest).bit_length() - 1
-        # the sign is the column's position among those left
-        entries.append(tuple(
-            (i, j, (cols & ((1 << j) - 1)).bit_count() & 1 == 1,
-             index[rest, cols ^ 1 << j] if rest else -1)
-            for j in range(n) if cols >> j & 1
-        ))
-    return tuple(entries), tuple(index[t] if t[0] else -1 for t in targets)
+def _principal_pairs(n: int) -> tuple:
+    """The (mask, mask) targets of every principal minor, in canonical order."""
+    return tuple((m, m) for m in _principal_masks(n))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,10 @@ or 2x2 principal minor that is not 1.  That is z^(n(n-1)/2) matrices
 instead of k^(n^2), where z is the number of zero-product pairs of Z/k
 (3^6 = 729 instead of 4096 for Z/2 at n = 4).  The report still counts
 the whole space of k^(n^2) matrices as scanned, and the candidate check
-still runs on every matrix built.
+still runs on every matrix built.  A random scan stops drawing a trial at
+its first diagonal entry that is not 1 and builds no matrix for it; every
+trial has its own seeded stream, so the report is the same as if all
+n^2 entries had been drawn.
 """
 
 from __future__ import annotations
@@ -188,6 +191,20 @@ def _unipotent_seed(rng, n, entry):
     return a
 
 
+def _random_rows(rng, n, entry, one, eq):
+    """The rows of one trial, drawn row-major, or None at the first
+    diagonal entry that is not 1: such a matrix has a 1x1 principal minor
+    that is not 1, so it can never be a candidate and the rest of its
+    entries are not drawn."""
+    rows = []
+    for i in range(n):
+        row = [entry(rng) for _ in range(i + 1)]
+        if not eq(row[i], one):
+            return None
+        rows.append(row + [entry(rng) for _ in range(i + 1, n)])
+    return rows
+
+
 def _random_matrices(ring, n, trials, seed, entry_bound):
     # per-trial RNG keyed by (seed, index), so the report does not depend
     # on how the trial stream is split
@@ -195,6 +212,7 @@ def _random_matrices(ring, n, trials, seed, entry_bound):
         entry = lambda rng: rng.randrange(ring.modulus)
     else:
         entry = lambda rng: rng.randint(-entry_bound, entry_bound)
+    one, eq = ring.one(), ring.eq
     for idx in range(trials):
         # string seeding is hash-stable
         rng = random.Random(f"{seed}:{idx}")
@@ -202,7 +220,9 @@ def _random_matrices(ring, n, trials, seed, entry_bound):
             # structured seed: unipotent upper triangular, all minors 1
             a = _unipotent_seed(rng, n, entry)
         else:
-            a = [[entry(rng) for _ in range(n)] for _ in range(n)]
+            a = _random_rows(rng, n, entry, one, eq)
+            if a is None:
+                continue
         yield Matrix(ring, a)
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import det_leibniz, schoolbook
+from minorcalc.laplace import _minor_kernel, _product_kernel
 from minorcalc.matrix import (
     MAX_SIZE,
     Matrix,
@@ -285,17 +286,24 @@ def _is_canonical(ring, value):
 _INT_RINGS = [Z, ModularRing(4), ModularRing(6), PrimeField(101)]
 
 
+def _int_entries(ring):
+    """Canonical elements of an int ring; over Z some exceed 2^64."""
+    if isinstance(ring, ModularRing):
+        return st.integers(0, ring.modulus - 1)
+    return st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70))
+
+
+def _int_rows(ring, nrows, ncols):
+    entry = _int_entries(ring)
+    return st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows)
+
+
 @st.composite
 def _int_ring_pairs(draw):
-    """Two n x n matrices (n <= 5) over Z, Z/4, Z/6 or F_101; over Z some
-    entries exceed 2^64."""
+    """Two n x n matrices (n <= 6) over Z, Z/4, Z/6 or F_101."""
     ring = draw(st.sampled_from(_INT_RINGS))
-    n = draw(st.integers(0, 5))
-    if isinstance(ring, ModularRing):
-        entry = st.integers(0, ring.modulus - 1)
-    else:
-        entry = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70))
-    rows = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    n = draw(st.integers(0, 6))
+    rows = _int_rows(ring, n, n)
     return Matrix(ring, draw(rows)), Matrix(ring, draw(rows))
 
 
@@ -327,6 +335,43 @@ def test_int_path_matches_ring_op_oracles(pair):
         results += [v for row in power.rows for v in row]
         expected = Matrix(ring, schoolbook(expected, A))
     assert all(_is_canonical(ring, v) for v in results)
+
+
+@st.composite
+def _int_products(draw):
+    """A p x q and a q x s matrix over an int ring, p, q, s <= MAX_SIZE.
+    A matrix without rows has no columns, so q = 0 when p = 0 and s = 0
+    when q = 0."""
+    ring = draw(st.sampled_from(_INT_RINGS))
+    p, q, s = (draw(st.integers(0, MAX_SIZE)) for _ in range(3))
+    A = Matrix(ring, draw(_int_rows(ring, p, q)))
+    return A, Matrix(ring, draw(_int_rows(ring, A.ncols, s)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_int_products())
+def test_product_kernel_matches_schoolbook(pair):
+    A, B = pair
+    product = A.mul(B)
+    expected = schoolbook(A, B)
+    assert (product.nrows, product.ncols) == (A.nrows, B.ncols if A.nrows else 0)
+    assert product == Matrix(A.ring, expected)
+    assert [list(row) for row in product.rows] == expected
+    assert all(type(row) is tuple for row in product.rows)
+    assert all(_is_canonical(A.ring, v) for row in product.rows for v in row)
+
+
+def test_int_kernels_reduce_noncanonical_entries():
+    # entries outside 0..k-1 give the same canonical results as their residues
+    rng = random.Random(61)
+    ring = ModularRing(6)
+    for n in range(1, 5):
+        raw = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)]
+        A, R = Matrix(ring, raw), Matrix.from_ints(ring, raw)
+        assert A.principal_minors().values == R.principal_minors().values
+        assert A.det() == R.det()
+        assert A.adjugate().rows == R.adjugate().rows
+        assert A.mul(A).rows == R.mul(R).rows
 
 
 def _rational_matrix(rng, n):
@@ -433,6 +478,25 @@ def test_det_above_max_size_is_not_cached():
     assert n > MAX_SIZE
     upper = [[rng.randint(-9, 9) if j > i else int(i == j) for j in range(n)] for i in range(n)]
     A = Matrix(Z, upper)
-    before = _laplace_program.cache_info().currsize
+    caches = (_laplace_program, _minor_kernel, _product_kernel)
+    before = [cache.cache_info().currsize for cache in caches]
     assert A.det() == 1
-    assert _laplace_program.cache_info().currsize == before
+    assert A.pow(2).det() == 1
+    assert A.mul(A.adjugate()) == Matrix.identity(Z, n)
+    assert [cache.cache_info().currsize for cache in caches] == before
+
+
+def test_product_above_max_size_matches_schoolbook():
+    rng = random.Random(59)
+    n = MAX_SIZE + 1
+    for ring in _INT_RINGS:
+        low, high = (0, ring.modulus - 1) if isinstance(ring, ModularRing) else (-(2**70), 2**70)
+        A, B = (
+            Matrix(ring, [[rng.randint(low, high) for _ in range(n)] for _ in range(n)])
+            for _ in range(2)
+        )
+        before = _product_kernel.cache_info().currsize
+        product = A.mul(B)
+        assert [list(row) for row in product.rows] == schoolbook(A, B)
+        assert all(_is_canonical(ring, v) for row in product.rows for v in row)
+        assert _product_kernel.cache_info().currsize == before

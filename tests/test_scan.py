@@ -1,4 +1,5 @@
 import hashlib
+import random
 import time
 from itertools import product
 
@@ -7,7 +8,13 @@ import pytest
 from conftest import det_leibniz, schoolbook
 from minorcalc.matrix import Matrix, all_subsets
 from minorcalc.matrixio import ring_from_spec
-from minorcalc.scan import ScanReport, Violation, reverify_violation, run_scan
+from minorcalc.scan import (
+    DEFAULT_ENTRY_BOUND,
+    ScanReport,
+    Violation,
+    reverify_violation,
+    run_scan,
+)
 
 
 class TestExhaustiveScan:
@@ -85,6 +92,53 @@ class TestRandomScan:
     def test_exhaustive_integer_ring_rejected(self):
         with pytest.raises(ValueError):
             run_scan("int", 3, 3, "exhaustive")
+
+
+def _random_scan_oracle(spec, n, m_max, trials, seed):
+    """(scanned, candidates, violations) of a random scan over the
+    documented per-trial stream, drawing all n^2 entries of every trial:
+    trial k draws from Random(f"{seed}:{k}"), row-major, and every fourth
+    trial is unipotent upper triangular.  Leibniz determinants and
+    schoolbook powers in ring operations."""
+    ring = ring_from_spec(spec)
+    if spec == "int":
+        entry = lambda rng: rng.randint(-DEFAULT_ENTRY_BOUND, DEFAULT_ENTRY_BOUND)
+    else:
+        entry = lambda rng: rng.randrange(ring.modulus)
+    subsets = all_subsets(n)[1:]
+    candidates, violations = 0, []
+    for k in range(trials):
+        rng = random.Random(f"{seed}:{k}")
+        if k % 4 == 3:
+            a = [[int(i == j) for j in range(n)] for i in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    a[i][j] = entry(rng)
+        else:
+            a = [[entry(rng) for _ in range(n)] for _ in range(n)]
+        A = Matrix(ring, a)
+        if any(det_leibniz(A.submatrix(s, s)) != 1 for s in subsets):
+            continue
+        candidates += 1
+        B = A
+        for m in range(2, m_max + 1):
+            B = Matrix(ring, schoolbook(B, A))
+            for s in subsets:
+                value = det_leibniz(B.submatrix(s, s))
+                if value != 1:
+                    violations.append(Violation(A.rows, m, s.members(), value))
+    return trials, candidates, sorted(violations, key=Violation.sort_key)
+
+
+@pytest.mark.parametrize("spec", ["int", "mod:2", "mod:4", "mod:6"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_random_scan_matches_full_draw_oracle(spec, n):
+    # trials whose diagonal is not all 1 stop drawing early in the scan;
+    # the oracle draws every entry, so the two agree only if the streams do
+    for seed in (7, 2024):
+        report = run_scan(spec, n, 3, "random", trials=48, seed=seed)
+        expected = _random_scan_oracle(spec, n, 3, 48, seed)
+        assert (report.scanned, report.candidates, report.violations) == expected
 
 
 class TestFootnoteScan:
