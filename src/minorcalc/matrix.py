@@ -2,9 +2,11 @@
 submatrices, division-free determinants, adjugates and principal minors.
 
 All public indexing is 1-based.  Every determinant, principal minor and
-adjugate entry comes from one Laplace expansion along the lowest
-remaining row, unrolled once per size and set of minors into a program
-(see ``laplace``).  It needs no division and therefore works over every
+adjugate entry comes from ``minors(ring, rows, targets)``, which takes a
+square matrix as bare row tuples, so the scans call it without building
+a ``Matrix``.  It runs one Laplace expansion along the lowest remaining
+row, unrolled once per size and set of minors into a program (see
+``laplace``), which needs no division and therefore works over every
 ring instance (Z/4, the counterexample algebra, ...).
 
 Over Z and Z/k, whose elements are plain ints, minors and products of
@@ -274,32 +276,6 @@ class Matrix:
 
     # -- determinants -------------------------------------------------
 
-    def _minors(self, targets: tuple):
-        """The minors on ``targets``, (row mask, column mask) pairs of
-        equal popcount: through the generated kernel over int rings up to
-        MAX_SIZE, else by running their Laplace program as one loop over
-        the ring's operations that skips the zero entries."""
-        n, rows, r = self.nrows, self.rows, self.ring
-        k = int_modulus(r)
-        if n <= MAX_SIZE:
-            if k is not None:
-                return _minor_kernel(n, targets, k != 0)(rows, k)
-            entries, where = _laplace_program(n, targets)
-        else:
-            entries, where = _laplace_program.__wrapped__(n, targets)
-        # vals[-1] is the empty minor, which every 1x1 entry multiplies by
-        vals = [None] * len(entries) + [r.one()]
-        zero, add, sub, mul = r.zero(), r.add, r.sub, r.mul
-        nonzero = [[not r.is_zero(e) for e in row] for row in rows]
-        for at, terms in enumerate(entries):
-            acc = zero
-            for i, j, negative, s in terms:
-                if nonzero[i][j]:
-                    term = mul(rows[i][j], vals[s])
-                    acc = sub(acc, term) if negative else add(acc, term)
-            vals[at] = acc
-        return [vals[t] for t in where]
-
     def det(self):
         """Division-free determinant (Laplace expansion).
 
@@ -307,7 +283,7 @@ class Matrix:
         """
         self._require_square("determinant")
         full = (1 << self.nrows) - 1
-        return self._minors(((full, full),))[0]
+        return minors(self.ring, self.rows, ((full, full),))[0]
 
     def principal_minor(self, subset: Subset):
         """det(sub_P^P) for one subset P of [n]."""
@@ -320,7 +296,7 @@ class Matrix:
         """All 2^n principal minors, from one Laplace program."""
         self._require_square("principal minors")
         n = self.nrows
-        values = self._minors(_principal_pairs(n))
+        values = minors(self.ring, self.rows, _principal_pairs(n))
         return MinorTable(n, self.ring, dict(zip(_principal_masks(n), values)))
 
     def adjugate(self) -> "Matrix":
@@ -328,14 +304,40 @@ class Matrix:
         self._require_square("adjugate")
         n, r = self.nrows, self.ring
         full = (1 << n) - 1
-        cofactors = self._minors(
-            tuple((full ^ 1 << j, full ^ 1 << i) for i in range(n) for j in range(n))
-        )
+        pairs = tuple((full ^ 1 << j, full ^ 1 << i) for i in range(n) for j in range(n))
+        cofactors = minors(r, self.rows, pairs)
         out = []
         for i in range(n):
             row = cofactors[i * n : i * n + n]
             out.append([r.neg(v) if (i + j) & 1 else v for j, v in enumerate(row)])
         return Matrix(r, out)
+
+
+def minors(ring: Ring, rows: tuple, targets: tuple):
+    """The minors on ``targets``, (row mask, column mask) pairs of equal
+    popcount, of the square matrix with row tuples ``rows`` over ``ring``:
+    through the generated kernel over int rings up to MAX_SIZE, else by
+    running their Laplace program as one loop over the ring's operations
+    that skips the zero entries."""
+    n, k = len(rows), int_modulus(ring)
+    if n <= MAX_SIZE:
+        if k is not None:
+            return _minor_kernel(n, targets, k != 0)(rows, k)
+        entries, where = _laplace_program(n, targets)
+    else:
+        entries, where = _laplace_program.__wrapped__(n, targets)
+    # vals[-1] is the empty minor, which every 1x1 entry multiplies by
+    vals = [None] * len(entries) + [ring.one()]
+    zero, add, sub, mul = ring.zero(), ring.add, ring.sub, ring.mul
+    nonzero = [[not ring.is_zero(e) for e in row] for row in rows]
+    for at, terms in enumerate(entries):
+        acc = zero
+        for i, j, negative, s in terms:
+            if nonzero[i][j]:
+                term = mul(rows[i][j], vals[s])
+                acc = sub(acc, term) if negative else add(acc, term)
+        vals[at] = acc
+    return [vals[t] for t in where]
 
 
 @lru_cache

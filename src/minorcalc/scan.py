@@ -5,20 +5,21 @@ Over Z/2 (the Putnam setting) exhaustive scans must find nothing; over
 the counterexample algebra the built-in family yields a violation; over
 Z/4 the outcome is an open question, so those scans are exploratory.
 
-Every scan builds each matrix as a `Matrix` and uses the shared kernel
-(native int arithmetic over Z and Z/k): a candidate check of the
-diagonal and then of one `principal_minors` table, then `Matrix.mul`
-and `principal_minors` on the powers of each candidate.  An exhaustive scan
-over Z/k builds only the matrices with 1s on the diagonal and
-a_ij * a_ji = 0 for every pair i < j, since any other matrix has a 1x1
-or 2x2 principal minor that is not 1.  That is z^(n(n-1)/2) matrices
-instead of k^(n^2), where z is the number of zero-product pairs of Z/k
-(3^6 = 729 instead of 4096 for Z/2 at n = 4).  The report still counts
-the whole space of k^(n^2) matrices as scanned, and the candidate check
-still runs on every matrix built.  A random scan stops drawing a trial at
-its first diagonal entry that is not 1 and builds no matrix for it; every
-trial has its own seeded stream, so the report is the same as if all
-n^2 entries had been drawn.
+Every scan, over Z, Z/k and the quotient algebra alike, works on each
+matrix as a bare tuple of row tuples. One `matrix.minors` call gives its
+table of principal minors, and the matrix is a candidate when every
+value is 1. Only a candidate becomes a `Matrix`, once, for its powers
+through `Matrix.mul`, and each power's table comes from `minors` again.
+An exhaustive scan over Z/k enumerates only the matrices with 1s on the
+diagonal and a_ij * a_ji = 0 for every pair i < j, since any other
+matrix has a 1x1 or 2x2 principal minor that is not 1. That is
+z^(n(n-1)/2) matrices instead of k^(n^2), where z is the number of
+zero-product pairs of Z/k (3^6 = 729 instead of 4096 for Z/2 at n = 4).
+The report still counts the whole space of k^(n^2) matrices as scanned,
+and the candidate check still runs on every matrix enumerated. A random
+scan stops drawing a trial at its first diagonal entry that is not 1 and
+yields no matrix for it; every trial has its own seeded stream, so the
+report is the same as if all n^2 entries had been drawn.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from itertools import combinations, product
 from math import gcd
 
 from .demos import footnote_matrix
-from .matrix import Matrix, Subset, require_size
+from .matrix import Matrix, Subset, _principal_masks, _principal_pairs, minors, require_size
 from .matrixio import matrix_from_json, ring_from_spec, ring_to_json
 from .rings import FootnoteAlgebra, IntegerRing, ModularRing, _is_prime
 
@@ -123,42 +124,33 @@ class ScanReport:
 # -- the scan ---------------------------------------------------------
 
 
-def _is_candidate(A: Matrix) -> bool:
-    """Whether every principal minor of A is 1: the diagonal first (scan
-    matrices have canonical entries, so these are the 1x1 minors), then
-    one principal-minor table."""
-    ring = A.ring
-    one = ring.one()
-    return all(ring.eq(row[i], one) for i, row in enumerate(A.rows)) and (
-        A.principal_minors().all_equal(one)
-    )
-
-
 def _report_value(ring, value):
     """A minor as the report shows it: an int over Z and Z/k, the
     rendered element over the quotient algebra."""
     return ring.render(value) if isinstance(ring, FootnoteAlgebra) else value
 
 
-def _scan_matrices(matrices, m_max):
-    """Count the candidates among `matrices` and collect every principal
-    minor of A^2, ..., A^m_max that is not 1, for each candidate A."""
+def _scan_matrices(ring, n, matrices, m_max):
+    """Count the candidates among `matrices`, n x n row tuples over
+    `ring`, and collect every principal minor of A^2, ..., A^m_max that
+    is not 1, for each candidate A.  Only a candidate becomes a `Matrix`,
+    for the products of its powers."""
+    pairs, masks = _principal_pairs(n), _principal_masks(n)
+    one, eq = ring.one(), ring.eq
     candidates = 0
     violations: list[Violation] = []
-    for A in matrices:
-        if not _is_candidate(A):
+    for rows in matrices:
+        if not all(eq(v, one) for v in minors(ring, rows, pairs)):
             continue
         candidates += 1
-        ring = A.ring
-        one = ring.one()
-        B = A
+        A = B = Matrix._of(ring, rows, n)
         for m in range(2, m_max + 1):
             B = B.mul(A)
             # violations are sorted at the end, so table order does not matter
-            for mask, value in B.principal_minors().values.items():
-                if mask and not ring.eq(value, one):
-                    subset = Subset(A.nrows, mask).members()
-                    violations.append(Violation(A.rows, m, subset, _report_value(ring, value)))
+            for mask, value in zip(masks, minors(ring, B.rows, pairs)):
+                if not eq(value, one):
+                    subset = Subset(n, mask).members()
+                    violations.append(Violation(rows, m, subset, _report_value(ring, value)))
     return candidates, violations
 
 
@@ -169,10 +161,10 @@ def _zero_product_pairs(k):
 
 
 def _pair_pruned_matrices(ring: ModularRing, n):
-    """Every n x n matrix over Z/k with 1s on the diagonal and
+    """The rows of every n x n matrix over Z/k with 1s on the diagonal and
     a_ij * a_ji = 0 for each pair i < j.  Any other matrix has a 1x1 or a
     2x2 principal minor that is not 1 (the minor on {i, j} is
-    1 - a_ij * a_ji), so it is counted as scanned but never built."""
+    1 - a_ij * a_ji), so it is counted as scanned but never yielded."""
     places = list(combinations(range(n), 2))
     # no pairs to fill when n = 1, whatever the size of k
     pairs = _zero_product_pairs(ring.modulus) if places else []
@@ -180,7 +172,7 @@ def _pair_pruned_matrices(ring: ModularRing, n):
         a = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         for (i, j), (x, y) in zip(places, choice):
             a[i][j], a[j][i] = x, y
-        yield Matrix(ring, a)
+        yield tuple(map(tuple, a))
 
 
 def _unipotent_seed(rng, n, entry):
@@ -223,7 +215,7 @@ def _random_matrices(ring, n, trials, seed, entry_bound):
             a = _random_rows(rng, n, entry, one, eq)
             if a is None:
                 continue
-        yield Matrix(ring, a)
+        yield tuple(map(tuple, a))
 
 
 # -- entry point ------------------------------------------------------
@@ -245,6 +237,8 @@ def run_scan(
         raise ValueError("m_max must be at least 1")
     if mode == "random" and trials < 1:
         raise ValueError("random mode needs at least 1 trial")
+    if entry_bound < 0:
+        raise ValueError(f"entry_bound must be at least 0, got {entry_bound}")
     ring = ring_from_spec(ring_spec)
     # decided before any work, so a modulus too large to test exits 2 at once
     exploratory = isinstance(ring, ModularRing) and not _is_prime(ring.modulus)
@@ -253,7 +247,7 @@ def run_scan(
     if isinstance(ring, FootnoteAlgebra):
         if n != 4:
             raise ValueError("the built-in counterexample family has n = 4")
-        mode, scanned, matrices = "builtin-family", 1, [footnote_matrix(ring)]
+        mode, scanned, matrices = "builtin-family", 1, [footnote_matrix(ring).rows]
     elif mode == "exhaustive":
         if isinstance(ring, IntegerRing):
             raise ValueError("Z cannot be scanned exhaustively; use random mode")
@@ -267,7 +261,7 @@ def run_scan(
         scanned = trials_out = trials
         seed_out = seed
         matrices = _random_matrices(ring, n, trials, seed, entry_bound)
-    candidates, violations = _scan_matrices(matrices, m_max)
+    candidates, violations = _scan_matrices(ring, n, matrices, m_max)
     return ScanReport(
         ring=ring.describe(),
         n=n,

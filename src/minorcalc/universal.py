@@ -201,25 +201,27 @@ def verify_symbolic(n: int, i: int, m: int) -> bool:
     return lhs == rhs
 
 
-def quasi_sign(P: Subset, i: int, j: int) -> int:
-    """Laplace sign for the row replacement trick: (-1) to the sum of the
-    1-based ranks of i and j within sorted P."""
-    return -1 if (P.rank(i) + P.rank(j)) & 1 else 1
+def _quasi_terms(n: int, i: int, j: int):
+    """(k, sign, I, J) for every subset P of [n] that contains i and j, in
+    canonical order, with I = P \\ {j}, J = P \\ {i} and k = |P| - 1: the
+    (i,j) entry of adj(I - tA) is the sum of these sign * q{I|J} t^k.  The
+    sign is (-1)^k times the Laplace sign of the row replacement trick,
+    (-1) to the sum of the 1-based ranks of i and j within sorted P."""
+    for P in all_subsets(n):
+        if i in P and j in P:
+            k = len(P) - 1
+            sign = -1 if (P.rank(i) + P.rank(j) + k) & 1 else 1
+            yield k, sign, P.without(j), P.without(i)
 
 
 def offdiag_series_coeffs(n: int, i: int, j: int, order: int) -> list[Polynomial]:
     """Coefficients of the (i,j) entry of adj(I - tA) as a series whose
     t^(|P|-1) coefficients are signed quasiprincipal symbols."""
     coeffs = [Polynomial({}) for _ in range(order + 1)]
-    for P in all_subsets(n):
-        if i not in P or j not in P:
-            continue
-        k = len(P) - 1
-        if k > order:
-            continue
-        symbol = Polynomial.variable(qvar(P.without(j).members(), P.without(i).members()))
-        sign = quasi_sign(P, i, j) * (-1 if k & 1 else 1)
-        coeffs[k] = coeffs[k] + (symbol if sign > 0 else -symbol)
+    for k, sign, I, J in _quasi_terms(n, i, j):
+        if k <= order:
+            symbol = Polynomial.variable(qvar(I.members(), J.members()))
+            coeffs[k] = coeffs[k] + (symbol if sign > 0 else -symbol)
     return coeffs
 
 
@@ -229,7 +231,7 @@ def synth_offdiag(n: int, i: int, j: int, m: int) -> OffDiagCertificate:
     p-polynomials and (i,j)-quasiprincipal minors.
 
     Each P containing i and j contributes its signed symbol from
-    offdiag_series_coeffs at t^(|P|-1), so dividing by d(t) gives that
+    _quasi_terms at t^(|P|-1), so dividing by d(t) gives that
     symbol the t^(m-|P|+1) coefficient of 1/d(t).  Terms follow the
     variable order of q{I|J}: by |I|, then I, then J."""
     require_size("n", n, 1)
@@ -244,13 +246,11 @@ def synth_offdiag(n: int, i: int, j: int, m: int) -> OffDiagCertificate:
     g: list = []
     while len(g) < m:
         g.append(_next_coeff(d, one, g))
-    terms = []
-    for P in all_subsets(n):
-        k = len(P) - 1
-        if i in P and j in P and k <= m:
-            sign = quasi_sign(P, i, j) * (-1 if k & 1 else 1)
-            coeff = g[m - k] if sign > 0 else -g[m - k]
-            terms.append((coeff, (P.without(j), P.without(i))))
+    terms = [
+        (g[m - k] if sign > 0 else -g[m - k], (I, J))
+        for k, sign, I, J in _quasi_terms(n, i, j)
+        if k <= m
+    ]
     terms.sort(key=lambda t: (len(t[1][0]), t[1][0].members(), t[1][1].members()))
     return OffDiagCertificate(n, i, j, m, tuple(terms))
 

@@ -155,6 +155,8 @@ class TestVerify:
         ["synth", "22", "1", "1"],
         ["verify", "symbolic", "--n", "9"],
         ["scan", "--ring", "int", "--n", "20", "--mode", "random", "--trials", "4"],
+        ["scan", "--ring", "int", "--n", "2", "--mode", "random", "--entry-bound", "-3"],
+        ["scan", "--ring", "mod:2", "--n", "2", "--mode", "random", "--entry-bound", "-3"],
     ],
 )
 def test_out_of_range_input_is_usage_error(argv, capsys):

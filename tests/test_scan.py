@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from conftest import det_leibniz, schoolbook
+from minorcalc.demos import footnote_matrix
 from minorcalc.matrix import Matrix, all_subsets
 from minorcalc.matrixio import ring_from_spec
 from minorcalc.scan import (
@@ -157,6 +158,26 @@ class TestFootnoteScan:
         for violation in report.violations:
             assert reverify_violation("footnote:2", violation)
 
+    @pytest.mark.parametrize("spec", ["footnote:2", "footnote:3"])
+    def test_violations_match_leibniz_oracle(self, spec):
+        # independent oracle for the scan over a ring without int kernels:
+        # Leibniz determinants and schoolbook powers in the algebra's ring
+        # operations, over every nonempty subset
+        ring = ring_from_spec(spec)
+        A = footnote_matrix(ring)
+        subsets = all_subsets(4)[1:]
+        assert all(ring.eq(det_leibniz(A.submatrix(s, s)), ring.one()) for s in subsets)
+        expected, B = [], A
+        for m in (2, 3):
+            B = Matrix(ring, schoolbook(B, A))
+            for s in subsets:
+                value = det_leibniz(B.submatrix(s, s))
+                if not ring.eq(value, ring.one()):
+                    expected.append(Violation(A.rows, m, s.members(), ring.render(value)))
+        report = run_scan(spec, 4, 3)
+        assert report.candidates == 1
+        assert report.violations == sorted(expected, key=Violation.sort_key)
+
     def test_wrong_size_rejected(self):
         with pytest.raises(ValueError):
             run_scan("footnote:2", 3, 2)
@@ -193,12 +214,17 @@ def test_report_json_shape():
          "ee9e0cc7abbfa152abc065f6f0c25a2f408ac0dea6279632500b6134129d8b25"),
         (("mod:4", 3, 4, "exhaustive"),
          "06b3f24b5430869d9a49a9fb6f4f191902ee05904a6e757c6f4083e829060972"),
+        (("int", 4, 4, "random", 400, 11),
+         "ac2318264ea6a4de3b7b30a20b57c888ef2f07344130670b1b0bb0b7051a5c1b"),
+        (("mod:4", 5, 4, "random", 400, 3),
+         "5f766a3c104f2501aafec827362f86d41e7264c3554b1d0872c5da7fa41c6543"),
     ],
 )
 def test_report_digest_is_pinned(args, digest):
     # byte-for-byte the reports of earlier kernels: the Z/2 and footnote
     # digests come from scan's former integer-only kernel, the Z/3 and Z/4
     # ones from the ring-op Matrix kernel before its native int path and
-    # the pair-pruned enumeration
+    # the pair-pruned enumeration, and the two random ones from the scan
+    # that still built a Matrix and a MinorTable for every matrix
     report = run_scan(*args)
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
