@@ -67,8 +67,11 @@ def _cmd_synth(args) -> int:
     except ValueError as exc:
         _usage_error(str(exc))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            _usage_error(f"cannot write {args.out}: {exc}")
     sys.stdout.write(text)
     return 0
 

@@ -140,3 +140,67 @@ def str_oracle(f) -> str:
         else:
             parts.append((" + " if coeff > 0 else " - ") + body)
     return "".join(parts)
+
+
+def _signed_minor_sums(subsets) -> list:
+    """Series coefficients c_k = (-1)^k * sum of p{P} over the given
+    subsets P with |P| = k; the empty subset's minor is the constant 1."""
+    from minorcalc.poly import Polynomial, pvar
+
+    coeffs: list = [{} for _ in range(max(map(len, subsets)) + 1)]
+    for subset in subsets:
+        k = len(subset)
+        mono = next(iter(Polynomial.variable(pvar(subset.members())).terms)) if k else 0
+        coeffs[k][mono] = -1 if k & 1 else 1
+    return [Polynomial(c) for c in coeffs]
+
+
+def _next_coeff(d: list, a: list, f: list):
+    """f_k of a(t) / d(t), d_0 = 1, for k = len(f): a_k - sum_j d_j f_{k-j},
+    accumulated in one dict over expanded p-polynomials."""
+    from minorcalc.poly import Polynomial
+
+    k = len(f)
+    acc = dict(a[k].terms) if k < len(a) else {}
+    get = acc.get
+    for j in range(1, min(k, len(d) - 1) + 1):
+        right = f[k - j].terms.items()
+        for m1, c1 in d[j].terms.items():
+            for m2, c2 in right:
+                mono = m1 + m2
+                acc[mono] = get(mono, 0) - c1 * c2
+    return Polynomial({mono: c for mono, c in acc.items() if c})
+
+
+def diag_oracle(n: int, i: int, m: int):
+    """Independent P[n,i,m] body oracle: the order-n recurrence
+    f_k = a_k - sum_j d_j f_{k-j} run on fully expanded p-polynomials."""
+    from minorcalc.matrix import all_subsets, diag_reindex
+
+    d = _signed_minor_sums(all_subsets(n))
+    a = _signed_minor_sums([diag_reindex(P, i) for P in all_subsets(n - 1)])
+    f: list = []
+    for _ in range(m + 1):
+        f.append(_next_coeff(d, a, f))
+    return f[m]
+
+
+def offdiag_oracle(n: int, i: int, j: int, m: int) -> tuple:
+    """Independent certificate-terms oracle: the coefficients of 1/d(t) by
+    the same expanded recurrence, one per (i,j)-quasiprincipal pair, in
+    the certificate's order."""
+    from minorcalc.matrix import all_subsets
+    from minorcalc.poly import Polynomial
+    from minorcalc.universal import _quasi_terms
+
+    d, one = _signed_minor_sums(all_subsets(n)), [Polynomial.constant(1)]
+    g: list = []
+    while len(g) < m:
+        g.append(_next_coeff(d, one, g))
+    terms = [
+        (g[m - k] if sign > 0 else -g[m - k], (I, J))
+        for k, sign, I, J in _quasi_terms(n, i, j)
+        if k <= m
+    ]
+    terms.sort(key=lambda t: (len(t[1][0]), t[1][0].members(), t[1][1].members()))
+    return tuple(terms)

@@ -153,6 +153,12 @@ class TestVerify:
         ["scan", "--ring", "mod:4", "--n", "3", "--mode", "random", "--trials", "-5"],
         ["scan", "--ring", "mod:2", "--n", "0"],
         ["synth", "22", "1", "1"],
+        ["synth", "8", "1", "9"],
+        ["synth", "7", "1", "10"],
+        ["synth", "6", "1", "12"],
+        ["synth", "5", "1", "20"],
+        ["synth", "8", "1", "9", "--j", "2"],
+        ["synth", "2", "1", "2", "--out", "/nonexistent/x.txt"],
         ["verify", "symbolic", "--n", "9"],
         ["scan", "--ring", "int", "--n", "20", "--mode", "random", "--trials", "4"],
         ["scan", "--ring", "int", "--n", "2", "--mode", "random", "--entry-bound", "-3"],

@@ -1,9 +1,10 @@
-import gc
 import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import diag_oracle, offdiag_oracle
 from minorcalc.matrix import Matrix, Subset, all_subsets, diag_reindex
 from minorcalc.poly import POLY_RING, Polynomial, pvar, qvar, var_key
 from minorcalc.rings import FootnoteAlgebra, IntegerRing, ModularRing, PrimeField, RationalField
@@ -334,8 +335,8 @@ class TestSeriesInverseOracle:
 
 
 class TestReuseOracle:
-    """synth_diag takes f_k from live results for (n, i, k); results that
-    reuse them against results computed with nothing live."""
+    """Results of every call order, cached or not, against one ascending
+    sweep and the series inverse."""
 
     M_MAX = 7
 
@@ -357,49 +358,74 @@ class TestReuseOracle:
         for order in (sorted(self._keys(n), reverse=True), shuffled):
             synth_diag.cache_clear()
             assert {key: synth_diag(n, *key).body for key in order} == want
-        # uncached calls whose results die at once: nothing is ever live
         synth_diag.cache_clear()
         assert {key: synth_diag.__wrapped__(n, *key).body for key in self._keys(n)} == want
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_partial_windows(self, n):
         want = self._ascending(n)
-        # the verify workload's powers: f_2 and f_4 live, f_3 and f_5 not
+        # the verify workload's powers, skipping the odd ones
         synth_diag.cache_clear()
         for m in (2, 4, 6):
             for i in range(1, n + 1):
                 assert synth_diag(n, i, m).body == want[i, m]
-        # one predecessor kept alive by the caller, none by the cache
+        # a result kept by the caller after the cache is cleared
         synth_diag.cache_clear()
         kept = synth_diag(n, 1, 3)
         synth_diag.cache_clear()
         assert synth_diag(n, 1, self.M_MAX).body == want[1, self.M_MAX]
         assert kept.body == want[1, 3]
 
-    def test_a_sweep_does_each_step_once(self, monkeypatch):
-        steps = []
-        step = universal._next_coeff
-        monkeypatch.setattr(universal, "_next_coeff", lambda *args: steps.append(1) or step(*args))
-        synth_diag.cache_clear()
-        for m in range(self.M_MAX + 1):
-            synth_diag(4, 2, m)
-        assert len(steps) == self.M_MAX + 1
-        synth_diag.cache_clear()
-        steps.clear()
-        for m in range(self.M_MAX, -1, -1):
-            synth_diag(4, 2, m)
-        assert len(steps) == sum(m + 1 for m in range(self.M_MAX + 1))
 
-    def test_cache_clear_leaves_nothing_alive(self):
-        keys = {(n, i, m) for n in range(1, 5) for i in range(1, n + 1) for m in range(6)}
-        synth_diag.cache_clear()
-        for key in sorted(keys) * 2:
-            synth_diag(*key)
-        assert synth_diag.cache_info().misses == len(keys)
-        assert set(universal._live.keys()) == keys
-        synth_diag.cache_clear()
-        gc.collect()
-        assert len(universal._live) == 0
+_diag_args = st.integers(1, 6).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(1, n), st.integers(0, 8))
+)
+_offdiag_args = st.integers(2, 5).flatmap(
+    lambda n: st.tuples(
+        st.just(n), st.permutations(range(1, n + 1)).map(lambda p: p[:2]), st.integers(0, 8)
+    )
+)
+
+
+@settings(deadline=None, max_examples=30)
+@given(_diag_args)
+def test_synth_diag_matches_the_expanded_recurrence(args):
+    assert synth_diag.__wrapped__(*args).body == diag_oracle(*args)
+
+
+@settings(deadline=None, max_examples=30)
+@given(_offdiag_args)
+def test_synth_offdiag_matches_the_expanded_recurrence(args):
+    n, (i, j), m = args
+    assert synth_offdiag.__wrapped__(n, i, j, m).terms == offdiag_oracle(n, i, j, m)
+
+
+class TestTermBound:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_count_is_the_number_of_terms(self, n):
+        for i in range(1, n + 1):
+            for m in range(8):
+                count = universal._term_count(*universal._diag_types(n, i, m))
+                assert count == len(synth_diag(n, i, m).body.terms)
+
+    def test_certificate_count_is_the_number_of_terms(self):
+        groups = universal._units_by_size(4, bool)
+        for r in range(7):
+            types = universal._compressed(4, r, False, (r,))[r]
+            assert universal._term_count(types, groups) == len(universal._expand(types, groups).terms)
+
+    def test_largest_accepted_and_smallest_refused(self):
+        # P[8,i,8] stays under the bound; its count is taken without expanding
+        assert universal._term_count(*universal._diag_types(8, 1, 8)) == 715152
+        assert 715152 <= universal.MAX_TERMS
+        for args, count in (((8, 1, 9), 3106828), ((7, 1, 10), 3340076), ((5, 1, 20), 154394626)):
+            assert universal._term_count(*universal._diag_types(*args)) == count
+            with pytest.raises(ValueError, match=f"{count} terms"):
+                synth_diag.__wrapped__(*args)
+
+    def test_certificate_bound(self):
+        with pytest.raises(ValueError, match="certificate"):
+            synth_offdiag.__wrapped__(8, 1, 2, 9)
 
 
 def test_synthesis_digest_is_pinned():
@@ -417,3 +443,11 @@ def test_synthesis_digest_is_pinned():
                     for m in range(6):
                         h.update(synth_offdiag(n, i, j, m).to_json().encode())
     assert h.hexdigest() == "7ef260f69b31f070a00b8fd2b817c7dfa851fc4c444ad6efddd19e6b0f1b1c71"
+
+
+def test_n7_digest_is_pinned():
+    # recorded from the expanded recurrence that the type expansion replaced
+    h = hashlib.sha256()
+    for i in (1, 4, 7):
+        h.update(synth_diag.__wrapped__(7, i, 7).serialize().encode())
+    assert h.hexdigest() == "7cdafe3bdc948e21236cf7ef8e9184a2b0e154bccaac78f214d48dc0c4eecaae"
