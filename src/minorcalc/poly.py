@@ -365,7 +365,8 @@ def _parse(text: str) -> Polynomial:
     tokens = _tokenize(text)
     if not tokens:
         raise ValueError("empty polynomial text")
-    result = Polynomial({})
+    acc: dict = {}  # the sum so far; repeated terms add up and may cancel
+    get = acc.get
     i = 0
     sign = 1
     if tokens[0] == ("op", "-"):
@@ -376,8 +377,8 @@ def _parse(text: str) -> Polynomial:
     if i >= len(tokens):
         raise ValueError("dangling sign at end of polynomial")
     while i < len(tokens):
-        term, i = _parse_term(tokens, i)
-        result = result + (term if sign > 0 else -term)
+        mono, coeff, i = _parse_term(tokens, i)
+        acc[mono] = get(mono, 0) + sign * coeff
         if i < len(tokens):
             kind, val = tokens[i]
             if kind != "op" or val not in "+-":
@@ -386,10 +387,11 @@ def _parse(text: str) -> Polynomial:
             i += 1
             if i >= len(tokens):
                 raise ValueError("dangling sign at end of polynomial")
-    return result
+    return Polynomial({mono: c for mono, c in acc.items() if c})
 
 
 def _parse_term(tokens, i):
+    """(packed monomial, coefficient, next token index) of the term at i."""
     factors = []
     coeff = None
     expect_factor = True
@@ -421,12 +423,13 @@ def _parse_term(tokens, i):
         raise ValueError("empty term in polynomial text")
     if expect_factor:
         raise ValueError("dangling '*' in polynomial text")
-    if coeff is None:
-        coeff = 1
-    poly = Polynomial.constant(coeff)
+    mono = degree = 0
     for name, exp in factors:
-        poly = poly * (Polynomial.variable(name) ** exp)
-    return poly, i
+        mono += exp << _FIELD * (_intern(name) + 1)
+        degree += exp
+    if degree > _DEGREE:
+        raise OverflowError(f"polynomial product has degree above {_DEGREE}")
+    return mono + degree, 1 if coeff is None else coeff, i
 
 
 # -- the polynomial ring as a Ring instance ---------------------------

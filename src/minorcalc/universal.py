@@ -25,16 +25,25 @@ the type expands to G times one multiset of u_k units of U_k and one of
 v_k units of F_k for every k, with the product of their multinomial
 coefficients.  A monomial determines its type and its multisets, so
 every term is written once, and the number of terms is known before any
-is built: synth_diag and synth_offdiag refuse more than MAX_TERMS.  The
-certificates need the coefficients of 1/d(t), polynomials in the E_k
-alone, expanded the same way with all size-k subsets as the units of E_k.
+is built: synth_diag and synth_offdiag refuse more than MAX_TERMS.
+
+A UniversalPolynomial keeps its types.  serialize() prints from them
+with no expanded polynomial: per subset size, a table of fragments (a
+print-key part, a text such as "p{1,3}^2*p{2,3}" and a multinomial) for
+each pair (u_k, v_k) that occurs, one fragment per size for each term,
+and one int sort of the keys, which gives the text of str(body).  body
+is expanded only when it is read (evaluation, the suites, the tests).
+The certificates need the coefficients of 1/d(t), polynomials in the
+E_k alone, expanded the same way with all size-k subsets as the units of
+E_k and printed by Polynomial.__str__.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from functools import lru_cache
+from collections import deque
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from itertools import product
 from math import comb
 
@@ -60,13 +69,21 @@ class UniversalPolynomial:
     n: int
     i: int
     m: int
-    body: Polynomial
+    # the types from _diag_types; (n, i, m) determines them
+    types: dict = field(compare=False, repr=False)
+
+    @cached_property
+    def body(self) -> Polynomial:
+        """The expanded polynomial, built at its first read."""
+        return _expand(self.types, _diag_groups(self.n, self.i))
 
     def header(self) -> str:
         return f"P[n={self.n},i={self.i},m={self.m}]"
 
     def serialize(self) -> str:
-        return f"{self.header()}\n{self.body}\n"
+        """The header and str(self.body), printed from the types."""
+        groups = _diag_groups(self.n, self.i)
+        return f"{self.header()}\n{_print_types(self.types, groups, self.n, self.m)}\n"
 
 
 @dataclass(frozen=True)
@@ -82,13 +99,17 @@ class OffDiagCertificate:
     terms: tuple  # of (Polynomial, (Subset I, Subset J))
 
     def to_json(self) -> str:
+        texts: dict = {}  # id of a coefficient -> its text; terms share them
+        for coeff, _ in self.terms:
+            if id(coeff) not in texts:
+                texts[id(coeff)] = str(coeff)
         payload = {
             "n": self.n,
             "i": self.i,
             "j": self.j,
             "m": self.m,
             "terms": [
-                {"coeff": str(coeff), "I": list(I.members()), "J": list(J.members())}
+                {"coeff": texts[id(coeff)], "I": list(I.members()), "J": list(J.members())}
                 for coeff, (I, J) in self.terms
             ],
         }
@@ -147,9 +168,11 @@ def _compressed(n: int, m: int, with_f: bool, orders) -> dict[int, dict]:
     E_1..E_n and then, if with_f, F_1..F_{n-1}.  The recurrence runs on
     packed vectors: field j - 1 holds the exponent of E_j and field
     n + k - 1 that of F_k, each m.bit_length() bits wide, which holds every
-    exponent of a term of weight at most m."""
+    exponent of a term of weight at most m.  Only the last n orders and
+    the asked ones are kept."""
     w = m.bit_length() or 1
-    f: list = []
+    last: deque = deque(maxlen=n)  # f_{k-n} .. f_{k-1}
+    kept = {}
     for k in range(m + 1):
         if k == 0:
             acc = {0: 1}
@@ -160,28 +183,36 @@ def _compressed(n: int, m: int, with_f: bool, orders) -> dict[int, dict]:
         get = acc.get
         for j in range(1, min(k, n) + 1):
             unit, sign = 1 << w * (j - 1), -1 if j & 1 else 1
-            for mono, c in f[k - j].items():
+            for mono, c in last[-j].items():
                 mono += unit
                 acc[mono] = get(mono, 0) - sign * c
-        f.append({mono: c for mono, c in acc.items() if c})
+        last.append({mono: c for mono, c in acc.items() if c})
+        if k in orders:
+            kept[k] = last[-1]
     low, fields = (1 << w) - 1, range(2 * n - 1 if with_f else n)
     return {
-        k: {tuple(mono >> w * x & low for x in fields): c for mono, c in f[k].items()}
+        k: {tuple(mono >> w * x & low for x in fields): c for mono, c in kept[k].items()}
         for k in orders
     }
 
 
-def _diag_types(n: int, i: int, m: int) -> tuple[dict, list]:
-    """(types, groups) of P[n,i,m].
-
-    groups lists the packed p{S} units of U_1..U_n and then of F_1..F_{n-1}:
-    U_k holds the size-k subsets that contain i, F_k those that do not,
-    so E_k = U_k + F_k (F_n is empty).  types maps the exponent mass
-    (u_1..u_n, v_1..v_{n-1}) put on each group to its coefficient
-    G = sum of c * prod_k C(a_k, u_k) over the compressed terms
-    c * prod E_k^a_k F_k^b_k with v_k = a_k - u_k + b_k; zero G dropped."""
+@lru_cache
+def _diag_groups(n: int, i: int) -> list:
+    """The packed p{S} units of U_1..U_n and then of F_1..F_{n-1}: U_k
+    holds the size-k subsets that contain i, F_k those that do not, so
+    E_k = U_k + F_k (F_n is empty)."""
     bit = 1 << (i - 1)
-    groups = _units_by_size(n, bit.__and__) + _units_by_size(n, lambda mask: not mask & bit)[:-1]
+    return _units_by_size(n, bit.__and__) + _units_by_size(n, lambda mask: not mask & bit)[:-1]
+
+
+def _diag_types(n: int, i: int, m: int) -> tuple[dict, list]:
+    """(types, groups) of P[n,i,m], with groups from _diag_groups.
+
+    types maps the exponent mass (u_1..u_n, v_1..v_{n-1}) put on each group
+    to its coefficient G = sum of c * prod_k C(a_k, u_k) over the
+    compressed terms c * prod E_k^a_k F_k^b_k with v_k = a_k - u_k + b_k;
+    zero G dropped."""
+    groups = _diag_groups(n, i)
     types: dict = {}
     for e, c in _compressed(n, m, True, (m,))[m].items():
         a, b = e[: n - 1], e[n:]
@@ -212,24 +243,26 @@ def _require_terms(count: int, what: str) -> None:
         raise ValueError(f"{what} has {count} terms, above the bound of {MAX_TERMS}")
 
 
-def _multisets(units: list, top: int) -> list[list]:
-    """Entry c: (packed monomial, multinomial coefficient) for every
-    multiset of c units, for c = 0..top."""
-    first, *rest = units
-    layers = [[(c * first, 1)] for c in range(top + 1)]
+def _multisets(units: list, counts) -> dict[int, list]:
+    """c -> (sum, multinomial coefficient) for every multiset of c units,
+    for each c in counts.  Every c up to the largest is built for all but
+    the last unit only."""
+    *rest, last = units
+    top = max(counts, default=0)
+    layers = [[(0, 1)]] + [()] * top  # multisets of the units so far
     for x in rest:
         layers = [
             [(mono + e * x, coef * comb(c, e)) for e in range(c + 1) for mono, coef in layers[c - e]]
             for c in range(top + 1)
         ]
-    return layers
+    return {c: [(mono + (c - e) * last, coef * comb(c, e)) for e in range(c + 1) for mono, coef in layers[e]] for c in counts}
 
 
 def _expand(types: dict, groups: list) -> Polynomial:
     """The p-polynomial sum over types of G * prod over groups of (sum of
     the group's units)^count, expanded.  A monomial determines its type
     and its multiset in each group, so every term is written once."""
-    tables = [_multisets(units, max((t[g] for t in types), default=0)) for g, units in enumerate(groups)]
+    tables = [_multisets(units, {t[g] for t in types}) for g, units in enumerate(groups)]
     terms: dict = {}
     for counts, g in types.items():
         factors = sorted((tables[k][c] for k, c in enumerate(counts) if c), key=len)
@@ -243,10 +276,98 @@ def _expand(types: dict, groups: list) -> Polynomial:
     return Polynomial(terms)
 
 
+class _Prefix(dict):
+    """Coefficient -> its sign and magnitude as they lead a printed
+    non-constant term: " + ", " - 3*"."""
+
+    def __missing__(self, c):
+        text = self[c] = (" - " if c < 0 else " + ") + ("" if c in (1, -1) else f"{abs(c)}*")
+        return text
+
+
+def _print_types(types: dict, groups: list, n: int, m: int) -> str:
+    """str(_expand(types, groups)) for a polynomial of weight m in the
+    p{S} of [n], printed straight from the types.
+
+    As in Polynomial.__str__, terms sort by one int print key: the total
+    degree above one field per p{S}, the smallest under var_key most
+    significant.  A size-k field is (m // k).bit_length() bits wide, which
+    holds any exponent of a weight-m term, so the fields of each size form
+    one run.  A type's multisets of the size-k units, from all groups of
+    that size, make one fragment: its key, its text such as
+    "p{1,3}^2*p{2,3}" and its multinomial, tabled per size and counts.  A
+    term is one fragment per size: its key is the OR of theirs and its
+    text their join, so no monomial is built or decoded."""
+    mask_of = {u: mask for mask, u in _p_units(n).items()}
+    # size k -> (base, width, names by field, {field in place: "v" or "v^e"})
+    runs, place, top = {}, {}, 0
+    for s, name in reversed(_p_names(n).items()):
+        k = len(s)
+        if k not in runs:
+            runs[k] = (top, max(m // k, 1).bit_length(), [], {})
+        runs[k][2].append(name)
+        place[s.mask] = 1 << top
+        top += runs[k][1]
+    sizes: dict = {}  # size k -> the groups of that size
+    for g, units in enumerate(groups):
+        sizes.setdefault(mask_of[units[0]].bit_count(), []).append(g)
+    by_size = sorted(sizes.items(), reverse=True)
+    layers = [
+        _multisets([place[mask_of[u]] for u in units], {t[g] for t in types})
+        for g, units in enumerate(groups)
+    ]
+
+    def fragment(k, counts):
+        base, width, run, words = runs[k]
+        entries = [(0, 1)]
+        for g, c in zip(sizes[k], counts):
+            entries = [(k1 + k2, c1 * c2) for k1, c1 in entries for k2, c2 in layers[g][c]]
+        table = []
+        for key, coef in entries:
+            factors, rest = [], key >> base
+            while rest:
+                shift = (rest.bit_length() - 1) // width * width
+                e = rest >> shift
+                bits = e << shift
+                rest ^= bits
+                word = words.get(bits)
+                if word is None:
+                    name = run[shift // width]
+                    word = words[bits] = name if e == 1 else f"{name}^{e}"
+                factors.append(word)
+            table.append((key, "*".join(factors), coef))
+        return sorted(table, reverse=True)
+
+    tables: dict = {}
+    prefix = _Prefix()
+    terms: list = []  # (print key, " + 3*p{1}^2*p{2,3}")
+    for counts, g in types.items():
+        factors = []  # by descending size, so each is joined in front
+        for k, gs in by_size:
+            c = tuple(counts[x] for x in gs)
+            if any(c):
+                table = tables.get((k, c))
+                if table is None:
+                    table = tables[k, c] = fragment(k, c)
+                factors.append(table)
+        if not factors:
+            terms.append((0, (" - " if g < 0 else " + ") + str(abs(g))))
+            continue
+        # the tables descend by key and the more significant fragment
+        # varies slowest, so each type's terms come out as one sorted run
+        partial = [(sum(counts) << top, "", g)]
+        for factor in factors[:-1]:
+            partial = [(k2 | k1, f"*{t2}{t1}", c2 * c1) for k2, t2, c2 in factor for k1, t1, c1 in partial]
+        terms += [(k2 | k1, f"{prefix[c2 * c1]}{t2}{t1}") for k2, t2, c2 in factors[-1] for k1, t1, c1 in partial]
+    terms.sort(reverse=True)
+    text = "".join([part for _, part in terms])
+    return text[3:] if text[1] == "+" else "-" + text[3:]
+
+
 @lru_cache(maxsize=None)
 def synth_diag(n: int, i: int, m: int) -> UniversalPolynomial:
     """The canonical universal polynomial for (A^m)_{i,i}: the types of
-    f_m, counted against MAX_TERMS, then expanded."""
+    f_m, counted against MAX_TERMS; the body is expanded when read."""
     require_size("n", n, 1)
     if not 1 <= i <= n:
         raise ValueError(f"index i={i} outside [n]={list(range(1, n + 1))}")
@@ -254,7 +375,7 @@ def synth_diag(n: int, i: int, m: int) -> UniversalPolynomial:
         raise ValueError("m must be nonnegative")
     types, groups = _diag_types(n, i, m)
     _require_terms(_term_count(types, groups), f"P[n={n},i={i},m={m}]")
-    return UniversalPolynomial(n, i, m, _expand(types, groups))
+    return UniversalPolynomial(n, i, m, types)
 
 
 def eval_universal(U: UniversalPolynomial, table, ring: Ring):
@@ -330,8 +451,12 @@ def synth_offdiag(n: int, i: int, j: int, m: int) -> OffDiagCertificate:
     groups = _units_by_size(n, bool)
     count = sum(_term_count(types[m - k], groups) for k, *_ in quasi)
     _require_terms(count, f"certificate for (n={n},i={i},j={j},m={m})")
-    coeffs = {r: _expand(t, groups) for r, t in types.items()}
-    terms = [(coeffs[m - k] if sign > 0 else -coeffs[m - k], (I, J)) for k, sign, I, J in quasi]
+    # one object per signed coefficient, which to_json prints once
+    coeffs = {(r, 1): _expand(t, groups) for r, t in types.items()}
+    for k, sign, *_ in quasi:
+        if (m - k, sign) not in coeffs:
+            coeffs[m - k, sign] = -coeffs[m - k, 1]
+    terms = [(coeffs[m - k, sign], (I, J)) for k, sign, I, J in quasi]
     terms.sort(key=lambda t: (len(t[1][0]), t[1][0].members(), t[1][1].members()))
     return OffDiagCertificate(n, i, j, m, tuple(terms))
 

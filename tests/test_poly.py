@@ -129,6 +129,18 @@ def test_parse_examples():
     assert Polynomial.parse("-3*a*b^2 + 1") == -3 * P("a") * P("b") ** 2 + 1
 
 
+def test_parse_sums_and_cancels_repeated_terms():
+    a, b = P("a"), P("b")
+    assert Polynomial.parse("a + a") == 2 * a
+    assert Polynomial.parse("p{1} - p{1}") == Polynomial({})
+    assert Polynomial.parse("a*b - b*a + a^0") == 1
+    assert Polynomial.parse("a*a - a^2 + 2*b*a - a*b + 0*b") == a * b
+    with pytest.raises(OverflowError):
+        Polynomial.parse("a^4294967296")
+    with pytest.raises(OverflowError):
+        Polynomial.parse("a^2147483648*b^2147483648")
+
+
 def test_parse_rejects_garbage():
     for bad in ["", "+", "p{1} +", "p{1} * * p{2}", "p{1}^x"]:
         with pytest.raises(ValueError):
@@ -153,6 +165,17 @@ def _poly_from_terms(terms):
 
 
 _polys = _term_lists.map(_poly_from_terms)
+
+
+def _term_text(mono, coeff):
+    factors = [str(abs(coeff))] + [f"{name}^{exp}" for name, exp in mono]
+    return ("- " if coeff < 0 else "+ ") + "*".join(factors)
+
+
+@given(_term_lists.filter(bool))
+def test_parse_of_an_unreduced_sum(terms):
+    text = " ".join(_term_text(mono, coeff) for mono, coeff in terms)
+    assert Polynomial.parse(text) == _poly_from_terms(terms)
 
 
 @given(_polys)
@@ -290,6 +313,7 @@ def test_power_reaches_the_degree_bound_and_no_further():
 
 def test_large_exponent_of_a_synthesized_polynomial():
     assert str(synth_diag(1, 1, 70000).body) == "p{1}^70000"
+    assert synth_diag(1, 1, 70000).serialize() == "P[n=1,i=1,m=70000]\np{1}^70000\n"
 
 
 def test_substitute_keeps_unassigned():

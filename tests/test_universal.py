@@ -51,6 +51,7 @@ class TestSynthDiag:
         for n in (1, 3, 5):
             for i in range(1, n + 1):
                 assert synth_diag(n, i, 0).body == 1
+                assert synth_diag(n, i, 0).serialize() == f"P[n={n},i={i},m=0]\n1\n"
 
     def test_power_one_is_diagonal_symbol(self):
         for n in (1, 2, 4):
@@ -451,3 +452,58 @@ def test_n7_digest_is_pinned():
     for i in (1, 4, 7):
         h.update(synth_diag.__wrapped__(7, i, 7).serialize().encode())
     assert h.hexdigest() == "7cdafe3bdc948e21236cf7ef8e9184a2b0e154bccaac78f214d48dc0c4eecaae"
+
+
+@settings(deadline=None, max_examples=30)
+@given(_diag_args)
+def test_serialize_prints_the_expanded_recurrence(args):
+    U = synth_diag.__wrapped__(*args)
+    assert U.serialize() == f"{U.header()}\n{diag_oracle(*args)}\n"
+
+
+class TestDirectPrint:
+    def test_serialize_leaves_the_body_unexpanded(self, monkeypatch):
+        U = synth_diag.__wrapped__(4, 2, 5)
+        calls = []
+        expand = universal._expand
+        monkeypatch.setattr(universal, "_expand", lambda *a: calls.append(a) or expand(*a))
+        text = U.serialize()
+        assert calls == [] and "body" not in vars(U)
+        assert U.body == diag_oracle(4, 2, 5) and len(calls) == 1
+        assert U.body is U.body and len(calls) == 1
+        assert U.serialize() == text == f"{U.header()}\n{U.body}\n"
+
+    def test_equality_follows_n_i_m(self):
+        assert synth_diag.__wrapped__(3, 2, 4) == synth_diag.__wrapped__(3, 2, 4)
+        assert synth_diag.__wrapped__(3, 2, 4) != synth_diag.__wrapped__(3, 1, 4)
+        assert hash(synth_diag.__wrapped__(3, 2, 4)) == hash(synth_diag(3, 2, 4))
+
+
+def test_n8_digest_is_pinned():
+    # recorded from the expanded body printed by Polynomial.__str__
+    text = synth_diag.__wrapped__(8, 5, 8).serialize()
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "7e269929c5794b58c8df902b42f354a08b7f24e070924324d6e148d166b85059"
+    )
+
+
+class TestCertificateText:
+    def test_json_roundtrip_n6(self):
+        cert = synth_offdiag.__wrapped__(6, 2, 5, 6)
+        back = OffDiagCertificate.from_json(cert.to_json())
+        assert back == cert and back.to_json() == cert.to_json()
+
+    def test_each_coefficient_is_printed_once(self, monkeypatch):
+        cert = synth_offdiag.__wrapped__(5, 1, 3, 5)
+        shared = {id(coeff) for coeff, _ in cert.terms}
+        assert len(shared) == len({str(coeff) for coeff, _ in cert.terms}) < len(cert.terms)
+        printed = []
+        to_str = Polynomial.__str__
+        monkeypatch.setattr(Polynomial, "__str__", lambda f: printed.append(f) or to_str(f))
+        cert.to_json()
+        assert len(printed) == len(shared)
+
+
+def test_body_parse_roundtrip():
+    body = synth_diag(6, 1, 6).body
+    assert Polynomial.parse(str(body)) == body
