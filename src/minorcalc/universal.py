@@ -31,8 +31,12 @@ A UniversalPolynomial keeps its types.  serialize() prints from them
 with no expanded polynomial: per subset size, a table of fragments (a
 print-key part, a text such as "p{1,3}^2*p{2,3}" and a multinomial) for
 each pair (u_k, v_k) that occurs, one fragment per size for each term,
-and one int sort of the keys, which gives the text of str(body).  body
-is expanded only when it is read (evaluation, the suites, the tests).
+and one int sort of the keys, which gives the text of str(body).
+eval_universal works from them too: P[n,i,m] is the sum over types of
+G * prod_k U_k^u_k F_k^v_k, so it sums the minors of each group in use
+and multiplies powers of those sums.  body, the expanded polynomial, is
+built only when it is read; nothing in the package reads it, and the
+tests use Polynomial.eval on it as the oracle of eval_universal.
 The certificates need the coefficients of 1/d(t), polynomials in the
 E_k alone, expanded the same way with all size-k subsets as the units of
 E_k and printed by Polynomial.__str__.
@@ -74,8 +78,9 @@ class UniversalPolynomial:
 
     @cached_property
     def body(self) -> Polynomial:
-        """The expanded polynomial, built at its first read."""
-        return _expand(self.types, _diag_groups(self.n, self.i))
+        """The expanded polynomial, built at its first read.  Printing and
+        evaluation work from the types and never read it."""
+        return _expand(self.types, _diag_groups(self.n, self.i), self.n)
 
     def header(self) -> str:
         return f"P[n={self.n},i={self.i},m={self.m}]"
@@ -156,10 +161,10 @@ def _p_units(n: int) -> dict[int, int]:
 
 
 def _units_by_size(n: int, keep) -> list[list[int]]:
-    """For k = 1..n, the packed monomials p{S} of the size-k subsets S of
-    [n] whose mask `keep` accepts."""
-    units = _p_units(n)
-    return [[u for mask, u in units.items() if mask.bit_count() == k and keep(mask)] for k in range(1, n + 1)]
+    """For k = 1..n, the masks of the size-k subsets S of [n] that `keep`
+    accepts, in canonical subset order."""
+    masks = _p_units(n)
+    return [[mask for mask in masks if mask.bit_count() == k and keep(mask)] for k in range(1, n + 1)]
 
 
 def _compressed(n: int, m: int, with_f: bool, orders) -> dict[int, dict]:
@@ -198,8 +203,8 @@ def _compressed(n: int, m: int, with_f: bool, orders) -> dict[int, dict]:
 
 @lru_cache
 def _diag_groups(n: int, i: int) -> list:
-    """The packed p{S} units of U_1..U_n and then of F_1..F_{n-1}: U_k
-    holds the size-k subsets that contain i, F_k those that do not, so
+    """The subset masks of U_1..U_n and then of F_1..F_{n-1}: U_k holds
+    the size-k subsets that contain i, F_k those that do not, so
     E_k = U_k + F_k (F_n is empty)."""
     bit = 1 << (i - 1)
     return _units_by_size(n, bit.__and__) + _units_by_size(n, lambda mask: not mask & bit)[:-1]
@@ -258,11 +263,16 @@ def _multisets(units: list, counts) -> dict[int, list]:
     return {c: [(mono + (c - e) * last, coef * comb(c, e)) for e in range(c + 1) for mono, coef in layers[e]] for c in counts}
 
 
-def _expand(types: dict, groups: list) -> Polynomial:
+def _expand(types: dict, groups: list, n: int) -> Polynomial:
     """The p-polynomial sum over types of G * prod over groups of (sum of
-    the group's units)^count, expanded.  A monomial determines its type
-    and its multiset in each group, so every term is written once."""
-    tables = [_multisets(units, {t[g] for t in types}) for g, units in enumerate(groups)]
+    the p{S} of the group's masks)^count, expanded, for subsets of [n].  A
+    monomial determines its type and its multiset in each group, so every
+    term is written once."""
+    units = _p_units(n)
+    tables = [
+        _multisets([units[mask] for mask in masks], {t[g] for t in types})
+        for g, masks in enumerate(groups)
+    ]
     terms: dict = {}
     for counts, g in types.items():
         factors = sorted((tables[k][c] for k, c in enumerate(counts) if c), key=len)
@@ -286,7 +296,7 @@ class _Prefix(dict):
 
 
 def _print_types(types: dict, groups: list, n: int, m: int) -> str:
-    """str(_expand(types, groups)) for a polynomial of weight m in the
+    """str(_expand(types, groups, n)) for a polynomial of weight m in the
     p{S} of [n], printed straight from the types.
 
     As in Polynomial.__str__, terms sort by one int print key: the total
@@ -298,7 +308,6 @@ def _print_types(types: dict, groups: list, n: int, m: int) -> str:
     "p{1,3}^2*p{2,3}" and its multinomial, tabled per size and counts.  A
     term is one fragment per size: its key is the OR of theirs and its
     text their join, so no monomial is built or decoded."""
-    mask_of = {u: mask for mask, u in _p_units(n).items()}
     # size k -> (base, width, names by field, {field in place: "v" or "v^e"})
     runs, place, top = {}, {}, 0
     for s, name in reversed(_p_names(n).items()):
@@ -309,12 +318,12 @@ def _print_types(types: dict, groups: list, n: int, m: int) -> str:
         place[s.mask] = 1 << top
         top += runs[k][1]
     sizes: dict = {}  # size k -> the groups of that size
-    for g, units in enumerate(groups):
-        sizes.setdefault(mask_of[units[0]].bit_count(), []).append(g)
+    for g, masks in enumerate(groups):
+        sizes.setdefault(masks[0].bit_count(), []).append(g)
     by_size = sorted(sizes.items(), reverse=True)
     layers = [
-        _multisets([place[mask_of[u]] for u in units], {t[g] for t in types})
-        for g, units in enumerate(groups)
+        _multisets([place[mask] for mask in masks], {t[g] for t in types})
+        for g, masks in enumerate(groups)
     ]
 
     def fragment(k, counts):
@@ -379,12 +388,34 @@ def synth_diag(n: int, i: int, m: int) -> UniversalPolynomial:
 
 
 def eval_universal(U: UniversalPolynomial, table, ring: Ring):
-    """Substitute a matrix's principal minors for the p{S} symbols."""
+    """Substitute a matrix's principal minors for the p{S} symbols.
+
+    Evaluated from the types, with no expanded body: the sum over types
+    of G * prod over groups of (the group's sum of minors)^count.  A
+    group's sum is formed only if some type puts a nonzero count on it,
+    and its powers are built once per call, by repeated ring.mul."""
     if table.n != U.n:
         raise ValueError(f"minor table for n={table.n}, polynomial for n={U.n}")
-    values = table.values
-    assignment = {name: values[s.mask] for s, name in _p_names(U.n).items()}
-    return U.body.eval(assignment, ring)
+    values, groups = table.values, _diag_groups(U.n, U.i)
+    add, mul, from_int = ring.add, ring.mul, ring.from_int
+    powers = [None] * len(groups)  # group -> [1, s, s^2, ...] once needed
+    total = ring.zero()
+    for counts, g in U.types.items():
+        val = from_int(g)
+        for k, c in enumerate(counts):
+            if c:
+                power = powers[k]
+                if power is None:
+                    first, *rest = groups[k]
+                    s = values[first]
+                    for mask in rest:
+                        s = add(s, values[mask])
+                    power = powers[k] = [ring.one(), s]
+                while len(power) <= c:
+                    power.append(mul(power[-1], power[1]))
+                val = mul(val, power[c])
+        total = add(total, val)
+    return total
 
 
 def minor_assignment(A: Matrix) -> dict:
@@ -452,7 +483,7 @@ def synth_offdiag(n: int, i: int, j: int, m: int) -> OffDiagCertificate:
     count = sum(_term_count(types[m - k], groups) for k, *_ in quasi)
     _require_terms(count, f"certificate for (n={n},i={i},j={j},m={m})")
     # one object per signed coefficient, which to_json prints once
-    coeffs = {(r, 1): _expand(t, groups) for r, t in types.items()}
+    coeffs = {(r, 1): _expand(t, groups, n) for r, t in types.items()}
     for k, sign, *_ in quasi:
         if (m - k, sign) not in coeffs:
             coeffs[m - k, sign] = -coeffs[m - k, 1]

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from dataclasses import dataclass, field
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,7 @@ from conftest import diag_oracle, offdiag_oracle
 from minorcalc.matrix import Matrix, Subset, all_subsets, diag_reindex
 from minorcalc.poly import POLY_RING, Polynomial, pvar, qvar, var_key
 from minorcalc.rings import FootnoteAlgebra, IntegerRing, ModularRing, PrimeField, RationalField
-from minorcalc import universal
+from minorcalc import suites, universal
 from minorcalc.series import TruncatedSeries
 from minorcalc.universal import (
     OffDiagCertificate,
@@ -413,7 +414,7 @@ class TestTermBound:
         groups = universal._units_by_size(4, bool)
         for r in range(7):
             types = universal._compressed(4, r, False, (r,))[r]
-            assert universal._term_count(types, groups) == len(universal._expand(types, groups).terms)
+            assert universal._term_count(types, groups) == len(universal._expand(types, groups, 4).terms)
 
     def test_largest_accepted_and_smallest_refused(self):
         # P[8,i,8] stays under the bound; its count is taken without expanding
@@ -477,6 +478,70 @@ class TestDirectPrint:
         assert synth_diag.__wrapped__(3, 2, 4) == synth_diag.__wrapped__(3, 2, 4)
         assert synth_diag.__wrapped__(3, 2, 4) != synth_diag.__wrapped__(3, 1, 4)
         assert hash(synth_diag.__wrapped__(3, 2, 4)) == hash(synth_diag(3, 2, 4))
+
+
+_EVAL_RINGS = (Z, ModularRing(4), PrimeField(101), FootnoteAlgebra(), FootnoteAlgebra(PrimeField(3)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(_EVAL_RINGS), st.integers(1, 5), st.integers(0, 6), st.integers(0, 2**32 - 1))
+def test_eval_by_type_matches_the_body(ring, n, m, seed):
+    A = suites.random_matrix(ring, n, random.Random(seed))
+    table, assignment = A.principal_minors(), minor_assignment(A)
+    for i in range(1, n + 1):
+        U = synth_diag(n, i, m)
+        assert ring.eq(eval_universal(U, table, ring), U.body.eval(assignment, ring))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_eval_by_type_matches_the_body_on_the_generic_matrix(n):
+    A = generic_matrix(n)
+    table, assignment = A.principal_minors(), minor_assignment(A)
+    for m in range(7):
+        for i in range(1, n + 1):
+            U = synth_diag(n, i, m)
+            assert eval_universal(U, table, POLY_RING) == U.body.eval(assignment, POLY_RING)
+
+
+@dataclass(frozen=True)
+class _AddCountingZ(IntegerRing):
+    """Z that records each add call."""
+
+    adds: list = field(default_factory=list)
+
+    def add(self, a, b):
+        self.adds.append((a, b))
+        return a + b
+
+
+class TestEvalByType:
+    def test_eval_leaves_the_body_unexpanded(self):
+        U = synth_diag.__wrapped__(4, 2, 5)
+        A = Matrix.from_ints(Z, [[2, -1, 0, 3], [1, 1, 4, -2], [0, 5, -3, 1], [7, 0, 2, 2]])
+        assert eval_universal(U, A.principal_minors(), Z) == A.pow(5).entry(2, 2)
+        assert "body" not in vars(U)
+
+    def test_suite_random_leaves_the_bodies_unexpanded(self, monkeypatch):
+        made = {}  # the polynomials suite_random evaluates, none from the shared cache
+
+        def fresh(*args):
+            if args not in made:
+                made[args] = synth_diag.__wrapped__(*args)
+            return made[args]
+
+        monkeypatch.setattr(suites, "synth_diag", fresh)
+        assert suites.suite_random("mod4", trials=40) == []
+        assert made and all("body" not in vars(U) for U in made.values())
+
+    def test_only_the_groups_in_use_are_summed(self):
+        # P[8,i,1] = p{i} reads one of the 255 nonempty subsets
+        rng = random.Random(8)
+        A = Matrix.from_ints(Z, [[rng.randint(-9, 9) for _ in range(8)] for _ in range(8)])
+        table = A.principal_minors()
+        for i in range(1, 9):
+            ring = _AddCountingZ()
+            assert eval_universal(synth_diag(8, i, 1), table, ring) == A.entry(i, i)
+            assert len(ring.adds) < 16
 
 
 def test_n8_digest_is_pinned():
