@@ -262,6 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # exact ints may pass the 4,300-digit str limit; the lift is missing before 3.10.7
+    getattr(sys, "set_int_max_str_digits", lambda digits: None)(0)
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -5,10 +5,10 @@ n x n matrix, unrolled over (row mask, column mask) pairs; it depends
 only on n and the minors asked for.  For rings whose elements are plain
 ints, a program becomes one generated Python function that unpacks the
 rows into locals and computes each minor as one int expression, and a
-matrix product one with an expression per entry.  The generated source
-is built from sizes and program indices only.  Every function here caches
-its results per key, so ``matrix`` calls them only for sizes up to
-``MAX_SIZE``.
+matrix product one with an expression per entry, each bound to its
+modulus k by the generated ``kernel(k)``.  The source is built from sizes
+and program indices only.  Every function here caches its results per
+key, so ``matrix`` calls them only for sizes up to ``MAX_SIZE``.
 """
 
 from __future__ import annotations
@@ -75,14 +75,14 @@ def _tuple(items) -> str:
 
 @lru_cache
 def _minor_kernel(n: int, targets: tuple, reduce: bool):
-    """``kernel(rows, k)``: the minors on ``targets`` of the n x n int
+    """``kernel(k)(rows)``: the minors on ``targets`` of the n x n int
     matrix ``rows``, reduced mod k if ``reduce``, as straight-line code
     for the Laplace program of (n, targets).  Each larger minor is one
     local, for instance ``v7 = (a2_0*v3 - a2_1*a1_2 + a2_3*v6) % k``; a
     1x1 minor is its entry, reduced only where it is a target."""
     entries, where = _laplace_program(n, targets)
     mod = " % k" if reduce else ""
-    refs, lines = [], ["def kernel(rows, k):", f"    {_unpack('a', n, n)} = rows"]
+    refs, lines = [], ["def kernel(k):", "    def table(rows):", f"        {_unpack('a', n, n)} = rows"]
     for at, terms in enumerate(entries):
         if terms[0][3] < 0:  # a 1x1 minor
             refs.append("a%d_%d" % terms[0][:2])
@@ -93,15 +93,15 @@ def _minor_kernel(n: int, targets: tuple, reduce: bool):
             for i, j, negative, s in terms
         )[3:]
         refs.append(f"v{at}")
-        lines.append(f"    v{at} = ({expr}){mod}")
+        lines.append(f"        v{at} = ({expr}){mod}")
     values = ("1" if t < 0 else refs[t] + mod if entries[t][0][3] < 0 else refs[t] for t in where)
-    lines.append("    return " + _tuple(values))
+    lines += ["        return " + _tuple(values), "    return table"]
     return _compiled("\n".join(lines))
 
 
 @lru_cache
 def _product_kernel(p: int, q: int, s: int, reduce: bool):
-    """``kernel(a, b, k)``: the product of the p x q and q x s int
+    """``kernel(k)(a, b)``: the product of the p x q and q x s int
     matrices with rows ``a`` and ``b`` as a tuple of row tuples, each
     entry one expression reduced mod k if ``reduce``."""
 
@@ -111,6 +111,6 @@ def _product_kernel(p: int, q: int, s: int, reduce: bool):
 
     rows = _tuple(_tuple(entry(i, j) for j in range(s)) for i in range(p))
     return _compiled(
-        f"def kernel(a, b, k):\n    {_unpack('a', p, q)} = a\n"
-        f"    {_unpack('b', q, s)} = b\n    return {rows}"
+        f"def kernel(k):\n    def product(a, b):\n        {_unpack('a', p, q)} = a\n"
+        f"        {_unpack('b', q, s)} = b\n        return {rows}\n    return product"
     )

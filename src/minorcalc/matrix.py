@@ -1,11 +1,12 @@
 """Dense matrices over a generic commutative ring: products, powers,
 submatrices, division-free determinants, adjugates and principal minors.
 
-All public indexing is 1-based.  Every determinant, principal minor and
-adjugate entry comes from ``minors(ring, rows, targets)``, which takes a
-square matrix as bare row tuples, so the scans call it without building
-a ``Matrix``.  It runs one Laplace expansion along the lowest remaining
-row, unrolled once per size and set of minors into a program (see
+All public indexing is 1-based.  ``minor_function`` and
+``product_function`` hold the one dispatch rule: for a ring and sizes
+they return ``rows -> tuple of minors`` and ``(a, b) -> row tuples`` on
+bare row tuples, so a scan resolves them once and builds no ``Matrix``.
+Minors run one Laplace expansion along the lowest remaining row,
+unrolled once per size and set of minors into a program (see
 ``laplace``), which needs no division and therefore works over every
 ring instance (Z/4, the counterexample algebra, ...).
 
@@ -15,13 +16,13 @@ per size, reduced mod k once per minor or product entry (not at all over
 Z); Z -> Z/k is a ring homomorphism, so the residues are exact.  Other
 rings, and int rings above MAX_SIZE, where nothing is cached or
 compiled, run the program as one loop through their own ring operations,
-skipping the matrix's zero entries.
+skipping the matrix's zero entries, and products as schoolbook sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -88,9 +89,6 @@ class Subset:
         if not 1 <= i <= self.n:
             raise ValueError(f"element {i} outside [{self.n}]")
         return Subset(self.n, self.mask | (1 << (i - 1)))
-
-    def complement(self) -> "Subset":
-        return Subset(self.n, ((1 << self.n) - 1) ^ self.mask)
 
     def rank(self, i: int) -> int:
         """1-based position of i among the members (i must be a member)."""
@@ -169,13 +167,8 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        if self.ring != other.ring or self.nrows != other.nrows or self.ncols != other.ncols:
-            return False
-        return all(
-            self.ring.eq(a, b)
-            for ra, rb in zip(self.rows, other.rows)
-            for a, b in zip(ra, rb)
-        )
+        # Ring.eq is == for every ring, so equal rows are equal matrices
+        return (self.ring, self.ncols, self.rows) == (other.ring, other.ncols, other.rows)
 
     def __hash__(self):
         return hash((self.ring, self.rows))
@@ -216,23 +209,8 @@ class Matrix:
                 f"inner dimensions differ: {self.nrows}x{self.ncols} vs "
                 f"{other.nrows}x{other.ncols}"
             )
-        r, p, q, s = self.ring, self.nrows, self.ncols, other.ncols
-        k = int_modulus(r)
-        if k is not None and max(p, q, s) <= MAX_SIZE:
-            kernel = _product_kernel(p, q, s, k != 0)
-            return Matrix._of(r, kernel(self.rows, other.rows, k), s)
-        cols = tuple(zip(*other.rows))
-        zero, add, mul = r.zero(), r.add, r.mul
-        out = []
-        for row in self.rows:
-            out_row = []
-            for col in cols:
-                acc = zero
-                for a, b in zip(row, col):
-                    acc = add(acc, mul(a, b))
-                out_row.append(acc)
-            out.append(out_row)
-        return Matrix(r, out)
+        product = product_function(self.ring, self.nrows, self.ncols, other.ncols)
+        return Matrix._of(self.ring, product(self.rows, other.rows), other.ncols)
 
     def __matmul__(self, other):
         return self.mul(other)
@@ -313,31 +291,57 @@ class Matrix:
         return Matrix(r, out)
 
 
-def minors(ring: Ring, rows: tuple, targets: tuple):
-    """The minors on ``targets``, (row mask, column mask) pairs of equal
-    popcount, of the square matrix with row tuples ``rows`` over ``ring``:
-    through the generated kernel over int rings up to MAX_SIZE, else by
-    running their Laplace program as one loop over the ring's operations
-    that skips the zero entries."""
-    n, k = len(rows), int_modulus(ring)
+def minor_function(ring: Ring, n: int, targets: tuple):
+    """``table(rows)``: the tuple of minors on ``targets``, (row mask,
+    column mask) pairs of equal popcount, of the n x n matrix with row
+    tuples ``rows`` over ``ring``.  Over int rings up to MAX_SIZE it is
+    the generated kernel; otherwise it runs the Laplace program as one
+    loop over the ring's operations that skips the zero entries."""
+    k = int_modulus(ring)
     if n <= MAX_SIZE:
         if k is not None:
-            return _minor_kernel(n, targets, k != 0)(rows, k)
+            return _minor_kernel(n, targets, k != 0)(k)
         entries, where = _laplace_program(n, targets)
     else:
         entries, where = _laplace_program.__wrapped__(n, targets)
-    # vals[-1] is the empty minor, which every 1x1 entry multiplies by
-    vals = [None] * len(entries) + [ring.one()]
-    zero, add, sub, mul = ring.zero(), ring.add, ring.sub, ring.mul
-    nonzero = [[not ring.is_zero(e) for e in row] for row in rows]
-    for at, terms in enumerate(entries):
-        acc = zero
-        for i, j, negative, s in terms:
-            if nonzero[i][j]:
-                term = mul(rows[i][j], vals[s])
-                acc = sub(acc, term) if negative else add(acc, term)
-        vals[at] = acc
-    return [vals[t] for t in where]
+    zero, one, add, sub, mul = ring.zero(), ring.one(), ring.add, ring.sub, ring.mul
+
+    def table(rows):
+        # vals[-1] is the empty minor, which every 1x1 entry multiplies by
+        vals = [None] * len(entries) + [one]
+        nonzero = [[not ring.is_zero(e) for e in row] for row in rows]
+        for at, terms in enumerate(entries):
+            acc = zero
+            for i, j, negative, s in terms:
+                if nonzero[i][j]:
+                    term = mul(rows[i][j], vals[s])
+                    acc = sub(acc, term) if negative else add(acc, term)
+            vals[at] = acc
+        return tuple(vals[t] for t in where)
+
+    return table
+
+
+def product_function(ring: Ring, p: int, q: int, s: int):
+    """``product(a, b)``: the product of the p x q and q x s matrices
+    with row tuples ``a`` and ``b`` over ``ring``, as row tuples: the
+    generated kernel over int rings up to MAX_SIZE, else the schoolbook
+    sum through the ring's operations."""
+    k = int_modulus(ring)
+    if k is not None and max(p, q, s) <= MAX_SIZE:
+        return _product_kernel(p, q, s, k != 0)(k)
+    zero, add, mul = ring.zero(), ring.add, ring.mul
+
+    def product(a, b):
+        cols = tuple(zip(*b))
+        return tuple(tuple(reduce(add, map(mul, row, col), zero) for col in cols) for row in a)
+
+    return product
+
+
+def minors(ring: Ring, rows: tuple, targets: tuple) -> tuple:
+    """The minors on ``targets`` of the square matrix ``rows`` (see ``minor_function``)."""
+    return minor_function(ring, len(rows), targets)(rows)
 
 
 @lru_cache
@@ -375,15 +379,6 @@ class MinorTable:
 
     def all_equal(self, element) -> bool:
         return all(self.ring.eq(v, element) for v in self.values.values())
-
-    def __eq__(self, other):
-        if not isinstance(other, MinorTable):
-            return NotImplemented
-        if self.n != other.n or self.ring != other.ring:
-            return False
-        return all(
-            self.ring.eq(self.values[m], other.values[m]) for m in self.values
-        )
 
 
 def diag_reindex(P: Subset, i: int) -> Subset:

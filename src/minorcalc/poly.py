@@ -128,12 +128,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return not any(self.terms)
-
-    def constant_term(self) -> int:
-        return self.terms.get(0, 0)
-
     def variables(self) -> set:
         # a field of the OR of all monomials is nonzero iff some term has it
         support = 0

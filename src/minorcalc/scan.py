@@ -5,20 +5,21 @@ Over Z/2 (the Putnam setting) exhaustive scans must find nothing; over
 the counterexample algebra the built-in family yields a violation; over
 Z/4 the outcome is an open question, so those scans are exploratory.
 
-Every scan, over Z, Z/k and the quotient algebra alike, works on each
-matrix as a bare tuple of row tuples. One `matrix.minors` call gives its
-table of principal minors, and the matrix is a candidate when every
-value is 1. Only a candidate becomes a `Matrix`, once, for its powers
-through `Matrix.mul`, and each power's table comes from `minors` again.
-An exhaustive scan over Z/k enumerates only the matrices with 1s on the
-diagonal and a_ij * a_ji = 0 for every pair i < j, since any other
-matrix has a 1x1 or 2x2 principal minor that is not 1. That is
-z^(n(n-1)/2) matrices instead of k^(n^2), where z is the number of
-zero-product pairs of Z/k (3^6 = 729 instead of 4096 for Z/2 at n = 4).
+Every scan, over Z, Z/k and the quotient algebra alike, resolves one
+table function and one product function from `matrix` at its start and
+keeps each matrix and its powers as bare tuples of row tuples. A matrix
+is a candidate when its table of principal minors equals the all-ones
+tuple, one tuple comparison; only a power's table that differs is read
+subset by subset, to record its violations. An exhaustive scan over Z/k
+enumerates only the matrices with 1s on the diagonal and a_ij * a_ji = 0
+for every pair i < j, since any other matrix has a 1x1 or 2x2 principal
+minor that is not 1. That is z^(n(n-1)/2) matrices instead of k^(n^2),
+where z is the number of zero-product pairs of Z/k (3^6 = 729 instead of
+4096 for Z/2 at n = 4).
 The report still counts the whole space of k^(n^2) matrices as scanned,
 and the candidate check still runs on every matrix enumerated. A random
 scan stops drawing a trial at its first diagonal entry that is not 1 and
-yields no matrix for it; every trial has its own seeded stream, so the
+yields no matrix for it; its one RNG is reseeded for every trial, so the
 report is the same as if all n^2 entries had been drawn.
 """
 
@@ -32,7 +33,7 @@ from itertools import combinations, product
 from math import gcd
 
 from .demos import footnote_matrix
-from .matrix import Matrix, Subset, _principal_masks, _principal_pairs, minors, require_size
+from .matrix import Subset, _principal_pairs, all_subsets, minor_function, product_function, require_size
 from .matrixio import matrix_from_json, ring_from_spec, ring_to_json
 from .rings import FootnoteAlgebra, IntegerRing, ModularRing, _is_prime
 
@@ -133,24 +134,27 @@ def _report_value(ring, value):
 def _scan_matrices(ring, n, matrices, m_max):
     """Count the candidates among `matrices`, n x n row tuples over
     `ring`, and collect every principal minor of A^2, ..., A^m_max that
-    is not 1, for each candidate A.  Only a candidate becomes a `Matrix`,
-    for the products of its powers."""
-    pairs, masks = _principal_pairs(n), _principal_masks(n)
-    one, eq = ring.one(), ring.eq
+    is not 1, for each candidate A.  The table and product functions are
+    resolved once, and a table passes with one tuple comparison against
+    all ones (`Ring.eq` is `==` on canonical elements for every ring)."""
+    subsets, one = all_subsets(n), ring.one()
+    table, product = minor_function(ring, n, _principal_pairs(n)), product_function(ring, n, n, n)
+    ones = (one,) * len(subsets)
     candidates = 0
     violations: list[Violation] = []
     for rows in matrices:
-        if not all(eq(v, one) for v in minors(ring, rows, pairs)):
+        if table(rows) != ones:
             continue
         candidates += 1
-        A = B = Matrix._of(ring, rows, n)
+        power = rows
         for m in range(2, m_max + 1):
-            B = B.mul(A)
-            # violations are sorted at the end, so table order does not matter
-            for mask, value in zip(masks, minors(ring, B.rows, pairs)):
-                if not eq(value, one):
-                    subset = Subset(n, mask).members()
-                    violations.append(Violation(rows, m, subset, _report_value(ring, value)))
+            power = product(power, rows)
+            values = table(power)
+            if values != ones:
+                # violations are sorted at the end, so table order does not matter
+                for subset, value in zip(subsets, values):
+                    if value != one:
+                        violations.append(Violation(rows, m, subset.members(), _report_value(ring, value)))
     return candidates, violations
 
 
@@ -198,16 +202,17 @@ def _random_rows(rng, n, entry, one, eq):
 
 
 def _random_matrices(ring, n, trials, seed, entry_bound):
-    # per-trial RNG keyed by (seed, index), so the report does not depend
-    # on how the trial stream is split
+    # one RNG reseeded per trial from (seed, index), so the report does not
+    # depend on how the trial stream is split
     if isinstance(ring, ModularRing):
         entry = lambda rng: rng.randrange(ring.modulus)
     else:
         entry = lambda rng: rng.randint(-entry_bound, entry_bound)
     one, eq = ring.one(), ring.eq
+    rng = random.Random()
     for idx in range(trials):
         # string seeding is hash-stable
-        rng = random.Random(f"{seed}:{idx}")
+        rng.seed(f"{seed}:{idx}")
         if idx % 4 == 3:
             # structured seed: unipotent upper triangular, all minors 1
             a = _unipotent_seed(rng, n, entry)

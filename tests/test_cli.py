@@ -5,6 +5,7 @@
 """
 
 import json
+import sys
 import time
 
 import pytest
@@ -96,6 +97,29 @@ class TestPowMinors:
         with pytest.raises(SystemExit) as exc:
             main(["pow-minors", "--matrix", write_matrix(tmp_path, INT_2X2), "-m", "-1"])
         assert exc.value.code == 2
+
+    def test_exact_ints_past_the_str_digit_limit(self, tmp_path, capsys):
+        # 2^20000 has 6,021 digits, past Python's default limit of 4,300 for
+        # int <-> str conversion; main lifts it, so this is no internal error
+        set_limit = getattr(sys, "set_int_max_str_digits", None)
+        if set_limit is None:
+            pytest.skip("no int <-> str digit limit before Python 3.10.7")
+        saved = sys.get_int_max_str_digits()
+        set_limit(4300)
+        try:
+            path = write_matrix(tmp_path, {"ring": {"kind": "int"}, "n": 1, "entries": [[2]]})
+            assert main(["pow-minors", "--matrix", path, "-m", "20000"]) == 0
+            assert capsys.readouterr().out.splitlines() == ["p{} = 1", f"p{{1}} = {2**20000}"]
+            assert main(["pow-minors", "--matrix", path, "-m", "20000", "--json"]) == 0
+            assert json.loads(capsys.readouterr().out) == {"p{}": "1", "p{1}": str(2**20000)}
+            # a matrix file with such an entry loads too (it used to exit 2)
+            set_limit(4300)
+            big = tmp_path / "big.json"
+            big.write_text('{"ring": {"kind": "int"}, "n": 1, "entries": [[%s]]}' % ("9" * 5000))
+            assert main(["minors", "--matrix", str(big)]) == 0
+            assert capsys.readouterr().out.splitlines() == ["p{} = 1", "p{1} = " + "9" * 5000]
+        finally:
+            set_limit(saved)
 
 
 class TestSynth:

@@ -12,8 +12,11 @@ from minorcalc.matrix import (
     Matrix,
     Subset,
     _laplace_program,
+    _principal_pairs,
     all_subsets,
     diag_reindex,
+    minor_function,
+    product_function,
     quasiprincipal_minor,
     require_size,
 )
@@ -286,6 +289,18 @@ def _is_canonical(ring, value):
 _INT_RINGS = [Z, ModularRing(4), ModularRing(6), PrimeField(101)]
 
 
+def _table_and_product(A, B):
+    """The principal-minor table of A and the product AB, each through the
+    function ``matrix`` resolves for the ring and sizes; both are tuples,
+    on the generated-kernel path and on the ring-op path alike."""
+    ring, n = A.ring, A.nrows
+    table = minor_function(ring, n, _principal_pairs(n))(A.rows)
+    product = product_function(ring, A.nrows, A.ncols, B.ncols)(A.rows, B.rows)
+    assert type(table) is tuple and len(table) == 2**n
+    assert type(product) is tuple and all(type(row) is tuple for row in product)
+    return table, product
+
+
 def _int_entries(ring):
     """Canonical elements of an int ring; over Z some exceed 2^64."""
     if isinstance(ring, ModularRing):
@@ -313,10 +328,11 @@ def test_int_path_matches_ring_op_oracles(pair):
     A, B = pair
     ring, n = A.ring, A.nrows
     table = A.principal_minors()
+    values, rows = _table_and_product(A, B)
     results = []
-    for s in all_subsets(n):
+    for s, value in zip(all_subsets(n), values):
         expected = det_leibniz(A.submatrix(s, s))
-        assert A.principal_minor(s) == table[s] == expected
+        assert A.principal_minor(s) == table[s] == value == expected
         results.append(table[s])
     assert A.det() == det_leibniz(A)
     full = Subset.full(n)
@@ -327,6 +343,7 @@ def test_int_path_matches_ring_op_oracles(pair):
             assert adj.entry(i, j) == (minor if (i + j) % 2 == 0 else ring.neg(minor))
     product = A.mul(B)
     assert [list(row) for row in product.rows] == schoolbook(A, B)
+    assert product.rows == rows
     results += [A.det()] + [v for M in (adj, product) for row in M.rows for v in row]
     expected = Matrix.identity(ring, n)
     for m in range(4):
@@ -354,10 +371,12 @@ def test_product_kernel_matches_schoolbook(pair):
     A, B = pair
     product = A.mul(B)
     expected = schoolbook(A, B)
+    rows = product_function(A.ring, A.nrows, A.ncols, B.ncols)(A.rows, B.rows)
     assert (product.nrows, product.ncols) == (A.nrows, B.ncols if A.nrows else 0)
     assert product == Matrix(A.ring, expected)
-    assert [list(row) for row in product.rows] == expected
-    assert all(type(row) is tuple for row in product.rows)
+    assert [list(row) for row in rows] == expected
+    assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+    assert product.rows == rows
     assert all(_is_canonical(A.ring, v) for row in product.rows for v in row)
 
 
@@ -449,9 +468,12 @@ def _zero_heavy_matrices(draw):
 def test_laplace_program_matches_leibniz(A):
     ring, n = A.ring, A.nrows
     table = A.principal_minors()
-    for s in all_subsets(n):
+    values, product = _table_and_product(A, A)
+    assert [list(row) for row in product] == schoolbook(A, A)
+    for s, value in zip(all_subsets(n), values):
         expected = det_leibniz(A.submatrix(s, s))
         assert ring.eq(table[s], expected)
+        assert ring.eq(value, expected)
         assert ring.eq(A.principal_minor(s), expected)
     assert ring.eq(A.det(), det_leibniz(A))
     full = Subset.full(n)
@@ -487,16 +509,26 @@ def test_det_above_max_size_is_not_cached():
 
 
 def test_product_above_max_size_matches_schoolbook():
+    # int rings above MAX_SIZE take the ring-op path of both functions:
+    # tuples again, and no program or kernel is cached
     rng = random.Random(59)
     n = MAX_SIZE + 1
+    caches = (_laplace_program, _minor_kernel, _product_kernel)
+    pairs = tuple((m, m) for m in range(1 << n) if m.bit_count() <= 2)
     for ring in _INT_RINGS:
         low, high = (0, ring.modulus - 1) if isinstance(ring, ModularRing) else (-(2**70), 2**70)
         A, B = (
             Matrix(ring, [[rng.randint(low, high) for _ in range(n)] for _ in range(n)])
             for _ in range(2)
         )
-        before = _product_kernel.cache_info().currsize
+        before = [cache.cache_info().currsize for cache in caches]
         product = A.mul(B)
-        assert [list(row) for row in product.rows] == schoolbook(A, B)
-        assert all(_is_canonical(ring, v) for row in product.rows for v in row)
-        assert _product_kernel.cache_info().currsize == before
+        rows = product_function(ring, n, n, n)(A.rows, B.rows)
+        values = minor_function(ring, n, pairs)(A.rows)
+        assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+        assert [list(row) for row in rows] == schoolbook(A, B)
+        assert product.rows == rows
+        assert type(values) is tuple
+        assert values == tuple(det_leibniz(A.submatrix(Subset(n, m), Subset(n, m))) for m, _ in pairs)
+        assert all(_is_canonical(ring, v) for v in values + sum(rows, ()))
+        assert [cache.cache_info().currsize for cache in caches] == before

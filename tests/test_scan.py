@@ -218,6 +218,14 @@ def test_report_json_shape():
          "ac2318264ea6a4de3b7b30a20b57c888ef2f07344130670b1b0bb0b7051a5c1b"),
         (("mod:4", 5, 4, "random", 400, 3),
          "5f766a3c104f2501aafec827362f86d41e7264c3554b1d0872c5da7fa41c6543"),
+        (("footnote:3", 4, 6),
+         "c6d63305a16c41e4584bc528e32ca809c31bdf6e717470654be8029a686aae02"),
+        (("mod:6", 5, 6, "random", 1000, 21),
+         "c3e6ff47a12449b92975bef048208b2087fdeaad38941bdd739f2ce46eb08fb2"),
+        (("int", 6, 4, "random", 1000, 23),
+         "84ca4570c0b98cd6ec94891b8a805e6d20e8c49aa5aa6c390afb85206d97b259"),
+        (("mod:6", 2, 6, "exhaustive"),
+         "1e715082f0bc2f012b8c49583c740895874cb0d17d0604bf77fa8c1bfa14ca14"),
     ],
 )
 def test_report_digest_is_pinned(args, digest):
@@ -225,6 +233,9 @@ def test_report_digest_is_pinned(args, digest):
     # digests come from scan's former integer-only kernel, the Z/3 and Z/4
     # ones from the ring-op Matrix kernel before its native int path and
     # the pair-pruned enumeration, and the two random ones from the scan
-    # that still built a Matrix and a MinorTable for every matrix
+    # that still built a Matrix and a MinorTable for every matrix; the
+    # footnote:3, Z/6 and n = 6 ones from the scan that wrapped each
+    # candidate in a Matrix for its powers (footnote:3 violates at four
+    # masks of A^2, A^4 and A^5)
     report = run_scan(*args)
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
