@@ -8,18 +8,20 @@ Exit codes: 0 = verified/pass, 1 = mathematical property violated
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 
-from .demos import CD_VARS, cd_compare, cd_compare_ints, counterexample_check
 from .matrix import require_size
 from .matrixio import load_matrix_file
 from .poly import POLY_RING
 from .rings import FootnoteAlgebra, PrimeField
 from .scan import run_scan
-from .suites import SUITES
 from .universal import synth_diag, synth_offdiag
+
+# `suites.SUITES` in sorted order, written out so that only `verify`
+# imports `suites` (a test keeps the two equal); `demos` and `inspect`
+# too are imported by the commands that use them
+SUITE_NAMES = ("adjugate", "all-ones", "charpoly", "diagonal-sum", "offdiag", "random", "symbolic")
 
 # `verify` flag -> suite keyword; a suite takes the flags whose keywords it
 # has, and its signature holds the defaults.
@@ -77,6 +79,10 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    import inspect
+
+    from .suites import SUITES
+
     suite = SUITES[args.suite]
     takes = inspect.signature(suite).parameters
     kwargs = {}
@@ -100,6 +106,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_example_cd(args) -> int:
+    from .demos import CD_VARS, cd_compare, cd_compare_ints
+
     if args.values is not None:
         result = cd_compare_ints(tuple(args.values))
         render = str
@@ -125,13 +133,13 @@ def _cmd_example_cd(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
+    from .demos import counterexample_check, footnote_matrix
+
     try:
         ring = FootnoteAlgebra(PrimeField(args.base))
     except ValueError as exc:
         _usage_error(str(exc))
     result = counterexample_check(ring)
-    from .demos import footnote_matrix
-
     A = footnote_matrix(ring)
     table = A.principal_minors()
     print(f"ring: {ring.describe()}")
@@ -213,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=sorted(SUITES))
+    p.add_argument("suite", choices=SUITE_NAMES)
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--ring", choices=["int", "mod2", "mod4", "mod101"])

@@ -4,10 +4,9 @@ algebra whose powers break the all-minors-one property."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .matrix import Matrix, Subset
 from .poly import POLY_RING, Polynomial
+from .records import Record
 from .rings import FootnoteAlgebra, IntegerRing, Ring
 
 CD_VARS = ("a", "b", "c", "d", "p", "q", "r", "s")
@@ -34,11 +33,11 @@ def cd_matrices(ring: Ring, values: dict | None = None) -> tuple[Matrix, Matrix]
     return C, D
 
 
-@dataclass(frozen=True)
-class CDResult:
-    minors_equal: bool
-    sq_minor_c: object
-    sq_minor_d: object
+class CDResult(Record):
+    _fields = ("minors_equal", "sq_minor_c", "sq_minor_d")
+
+    def __init__(self, minors_equal: bool, sq_minor_c: object, sq_minor_d: object):
+        self._init(minors_equal, sq_minor_c, sq_minor_d)
 
     @property
     def squares_differ(self) -> bool:
@@ -78,11 +77,11 @@ def footnote_matrix(ring: FootnoteAlgebra) -> Matrix:
     )
 
 
-@dataclass(frozen=True)
-class CounterexampleResult:
-    base_minors_all_one: bool
-    square_minor: object
-    square_minor_is_one: bool
+class CounterexampleResult(Record):
+    _fields = ("base_minors_all_one", "square_minor", "square_minor_is_one")
+
+    def __init__(self, base_minors_all_one: bool, square_minor: object, square_minor_is_one: bool):
+        self._init(base_minors_all_one, square_minor, square_minor_is_one)
 
     @property
     def reproduces(self) -> bool:

@@ -21,12 +21,12 @@ skipping the matrix's zero entries, and products as schoolbook sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations
 from typing import Iterable, Iterator
 
 from .laplace import _laplace_program, _minor_kernel, _product_kernel
+from .records import Record
 from .rings import Ring, int_modulus
 
 # The largest n accepted by the commands and suites that enumerate all
@@ -40,18 +40,17 @@ def require_size(name: str, n: int, least: int) -> None:
         raise ValueError(f"{name} must be between {least} and {MAX_SIZE}, got {n}")
 
 
-@dataclass(frozen=True)
-class Subset:
+class Subset(Record):
     """A subset of [n] = {1, ..., n}, stored as a bitmask."""
 
-    n: int
-    mask: int
+    _fields = ("n", "mask")
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n: int, mask: int):
+        if n < 0:
             raise ValueError("ambient size must be nonnegative")
-        if self.mask < 0 or self.mask >> self.n:
-            raise ValueError(f"mask {self.mask:#x} not within [{self.n}]")
+        if mask < 0 or mask >> n:
+            raise ValueError(f"mask {mask:#x} not within [{n}]")
+        self._init(n, mask)
 
     @classmethod
     def of(cls, n: int, members: Iterable[int]) -> "Subset":
@@ -356,13 +355,13 @@ def _principal_pairs(n: int) -> tuple:
     return tuple((m, m) for m in _principal_masks(n))
 
 
-@dataclass(frozen=True)
-class MinorTable:
+class MinorTable(Record):
     """All 2^n principal minors of an n x n matrix, keyed by subset."""
 
-    n: int
-    ring: Ring
-    values: dict  # mask -> ring element
+    _fields = ("n", "ring", "values")
+
+    def __init__(self, n: int, ring: Ring, values: dict):
+        self._init(n, ring, values)  # values: mask -> ring element
 
     def __getitem__(self, subset):
         if isinstance(subset, Subset):

@@ -6,6 +6,9 @@ for "mod"); for "footnote" they may also be coordinate 6-vectors of
 integers or the basis symbols "1", "x", "y", "x^2", "y^2", "x^3".
 ``n``, ``modulus``, entries and coordinates must be JSON integers, not
 floats, bools, strings or null; malformed input raises ``ValueError``.
+A matrix file's integers may have at most ``MAX_FILE_DIGITS`` decimal
+digits in all: Python converts between text and int in quadratic time,
+so a larger file is refused before its integers are converted.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ import json
 
 from .matrix import Matrix
 from .rings import FOOTNOTE_BASIS, FootnoteAlgebra, IntegerRing, ModularRing, PrimeField, Ring
+
+MAX_FILE_DIGITS = 100_000
 
 
 def ring_from_spec(spec: str) -> Ring:
@@ -123,5 +128,14 @@ def matrix_to_json(M: Matrix) -> dict:
 
 
 def load_matrix_file(path: str) -> Matrix:
+    digits = 0
+
+    def parse_int(text: str) -> int:
+        nonlocal digits
+        digits += len(text) - text.startswith("-")
+        if digits > MAX_FILE_DIGITS:
+            raise ValueError(f"its integers have more than {MAX_FILE_DIGITS} digits in all")
+        return int(text)
+
     with open(path, encoding="utf-8") as fh:
-        return matrix_from_json(json.load(fh))
+        return matrix_from_json(json.load(fh, parse_int=parse_int))

@@ -14,8 +14,7 @@ is exact below ``MR_EXACT_BOUND`` and refuses larger moduli.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from .records import Record
 
 
 class Ring:
@@ -85,8 +84,7 @@ class Ring:
         return type(self).__name__
 
 
-@dataclass(frozen=True)
-class IntegerRing(Ring):
+class IntegerRing(Ring, Record):
     """Z with arbitrary-precision integers."""
 
     def zero(self):
@@ -111,15 +109,20 @@ class IntegerRing(Ring):
         return "Z"
 
 
-@dataclass(frozen=True)
-class RationalField(Ring):
+class RationalField(Ring, Record):
     """Q with exact fractions."""
 
+    def __init__(self):
+        # imported here, so that no other ring pays for fractions
+        from fractions import Fraction
+
+        object.__setattr__(self, "_fraction", Fraction)
+
     def zero(self):
-        return Fraction(0)
+        return self._fraction(0)
 
     def one(self):
-        return Fraction(1)
+        return self._fraction(1)
 
     def add(self, a, b):
         return a + b
@@ -131,26 +134,26 @@ class RationalField(Ring):
         return -a
 
     def from_int(self, k: int):
-        return Fraction(k)
+        return self._fraction(k)
 
     def inv_unit(self, a):
         if a == 0:
             raise ArithmeticError("0 is not a unit in Q")
-        return 1 / Fraction(a)
+        return 1 / self._fraction(a)
 
     def describe(self) -> str:
         return "Q"
 
 
-@dataclass(frozen=True)
-class ModularRing(Ring):
+class ModularRing(Ring, Record):
     """Z/n with canonical residues 0..n-1."""
 
-    modulus: int
+    _fields = ("modulus",)
 
-    def __post_init__(self):
-        if self.modulus < 2:
+    def __init__(self, modulus: int):
+        if modulus < 2:
             raise ValueError("modulus must be >= 2")
+        self._init(modulus)
 
     def zero(self):
         return 0
@@ -182,14 +185,13 @@ class ModularRing(Ring):
         return f"Z/{self.modulus}"
 
 
-@dataclass(frozen=True)
 class PrimeField(ModularRing):
     """Z/p for prime p; every nonzero element is invertible."""
 
-    def __post_init__(self):
-        super().__post_init__()
-        if not _is_prime(self.modulus):
-            raise ValueError(f"{self.modulus} is not prime")
+    def __init__(self, modulus: int):
+        super().__init__(modulus)
+        if not _is_prime(modulus):
+            raise ValueError(f"{modulus} is not prime")
 
     def inv_unit(self, a):
         if a % self.modulus == 0:
@@ -251,8 +253,7 @@ def int_modulus(ring: Ring):
 FOOTNOTE_BASIS = ("1", "x", "y", "x^2", "y^2", "x^3")
 
 
-@dataclass(frozen=True)
-class FootnoteAlgebra(Ring):
+class FootnoteAlgebra(Ring, Record):
     """The 6-dimensional quotient of k[x,y] by (x^3+y^3, xy, x^4, x^3 y,
     x^2 y^2, x y^3, y^4).
 
@@ -271,12 +272,12 @@ class FootnoteAlgebra(Ring):
     operations.
     """
 
-    base: Ring = field(default_factory=lambda: PrimeField(2))
-    # int_modulus(base), chosen once per instance; not part of ==, hash
-    # or repr
-    _k: int | None = field(init=False, repr=False, compare=False)
+    _fields = ("base",)
 
-    def __post_init__(self):
+    def __init__(self, base: Ring | None = None):
+        self._init(PrimeField(2) if base is None else base)
+        # int_modulus(base), chosen once per instance; not part of ==,
+        # hash or repr
         object.__setattr__(self, "_k", int_modulus(self.base))
 
     def zero(self):

@@ -28,28 +28,28 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import gcd
+from operator import itemgetter
 
-from .demos import footnote_matrix
 from .matrix import Subset, _principal_pairs, all_subsets, minor_function, product_function, require_size
 from .matrixio import matrix_from_json, ring_from_spec, ring_to_json
+from .records import Record
 from .rings import FootnoteAlgebra, IntegerRing, ModularRing, _is_prime
 
 EXHAUSTIVE_LIMIT = 2**24
 DEFAULT_ENTRY_BOUND = 9
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """A candidate matrix (all principal minors 1) with a principal minor
     of some power not equal to 1."""
 
-    matrix: tuple  # row tuples, JSON-ready entries
-    power: int
-    subset: tuple
-    value: object  # JSON-ready
+    _fields = ("matrix", "power", "subset", "value")
+
+    def __init__(self, matrix: tuple, power: int, subset: tuple, value: object):
+        # matrix: row tuples; matrix and value: JSON-ready entries
+        self._init(matrix, power, subset, value)
 
     def sort_key(self):
         return (self.matrix, self.power, self.subset)
@@ -63,19 +63,24 @@ class Violation:
         }
 
 
-@dataclass
-class ScanReport:
-    ring: str
-    n: int
-    m_max: int
-    mode: str
-    seed: object  # int, or "exhaustive"
-    trials: int | None
-    scanned: int
-    candidates: int
-    violations: list[Violation]
-    exploratory: bool
-    elapsed: float = field(default=0.0, compare=False)
+class ScanReport(Record):
+    """The outcome of a scan; unlike the other records it is mutable and
+    unhashable, and ``elapsed`` takes no part in ``==``."""
+
+    _fields = ("ring", "n", "m_max", "mode", "seed", "trials", "scanned", "candidates",
+               "violations", "exploratory")
+    _repr_fields = _fields + ("elapsed",)
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, ring: str, n: int, m_max: int, mode: str, seed: object,
+                 trials: int | None, scanned: int, candidates: int,
+                 violations: list[Violation], exploratory: bool, elapsed: float = 0.0):
+        # seed: an int, or "exhaustive"
+        self._init(ring, n, m_max, mode, seed, trials, scanned, candidates, violations,
+                   exploratory)
+        self.elapsed = elapsed
 
     def to_json(self) -> str:
         # deterministic: elapsed wall time deliberately excluded
@@ -170,13 +175,21 @@ def _pair_pruned_matrices(ring: ModularRing, n):
     2x2 principal minor that is not 1 (the minor on {i, j} is
     1 - a_ij * a_ji), so it is counted as scanned but never yielded."""
     places = list(combinations(range(n), 2))
-    # no pairs to fill when n = 1, whatever the size of k
-    pairs = _zero_product_pairs(ring.modulus) if places else []
-    for choice in product(pairs, repeat=len(places)):
-        a = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        for (i, j), (x, y) in zip(places, choice):
-            a[i][j], a[j][i] = x, y
-        yield tuple(map(tuple, a))
+    if not places:
+        # n = 1: the one matrix [[1]], whatever the size of k
+        yield ((1,),)
+        return
+    # a choice flattens to (x_0, y_0, x_1, y_1, ..., 1): a_ij = x_p and
+    # a_ji = y_p for the p-th place (i, j), and the diagonal reads the last 1
+    slot = {}
+    for p, (i, j) in enumerate(places):
+        slot[i, j], slot[j, i] = 2 * p, 2 * p + 1
+    diagonal = 2 * len(places)
+    rows = [itemgetter(*(slot.get((i, j), diagonal) for j in range(n))) for i in range(n)]
+    flat = chain.from_iterable
+    for choice in product(_zero_product_pairs(ring.modulus), repeat=len(places)):
+        entries = (*flat(choice), 1)
+        yield tuple([row(entries) for row in rows])
 
 
 def _unipotent_seed(rng, n, entry):
@@ -252,6 +265,8 @@ def run_scan(
     if isinstance(ring, FootnoteAlgebra):
         if n != 4:
             raise ValueError("the built-in counterexample family has n = 4")
+        from .demos import footnote_matrix
+
         mode, scanned, matrices = "builtin-family", 1, [footnote_matrix(ring).rows]
     elif mode == "exhaustive":
         if isinstance(ring, IntegerRing):

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import product
 from math import comb
@@ -59,22 +58,24 @@ from .matrix import (
     require_size,
 )
 from .poly import POLY_RING, Polynomial, pvar, qvar, xvar
+from .records import Record
 from .rings import Ring
 
 # the most terms a P[n,i,m] body or a certificate may have
 MAX_TERMS = 1 << 20
 
 
-@dataclass(frozen=True)
-class UniversalPolynomial:
+class UniversalPolynomial(Record):
     """Integer polynomial in the minor symbols p{S} whose evaluation at
     the principal minors of any n x n matrix A yields (A^m)_{i,i}."""
 
-    n: int
-    i: int
-    m: int
-    # the types from _diag_types; (n, i, m) determines them
-    types: dict = field(compare=False, repr=False)
+    _fields = ("n", "i", "m")
+
+    def __init__(self, n: int, i: int, m: int, types: dict):
+        self._init(n, i, m)
+        # the types from _diag_types; (n, i, m) determines them, so they
+        # take no part in == or hash
+        object.__setattr__(self, "types", types)
 
     @cached_property
     def body(self) -> Polynomial:
@@ -91,17 +92,15 @@ class UniversalPolynomial:
         return f"{self.header()}\n{_print_types(self.types, groups, self.n, self.m)}\n"
 
 
-@dataclass(frozen=True)
-class OffDiagCertificate:
+class OffDiagCertificate(Record):
     """Finite sum of (coefficient in p{S}) * (quasiprincipal symbol)
     pairs witnessing that (A^m)_{i,j} lies in the module generated by
     products of principal minors and (i,j)-quasiprincipal minors."""
 
-    n: int
-    i: int
-    j: int
-    m: int
-    terms: tuple  # of (Polynomial, (Subset I, Subset J))
+    _fields = ("n", "i", "j", "m", "terms")
+
+    def __init__(self, n: int, i: int, j: int, m: int, terms: tuple):
+        self._init(n, i, j, m, terms)  # terms: (Polynomial, (Subset I, Subset J)) pairs
 
     def to_json(self) -> str:
         texts: dict = {}  # id of a coefficient -> its text; terms share them

@@ -5,12 +5,18 @@
 """
 
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import minorcalc
+from minorcalc import cli, suites
 from minorcalc.cli import main
+from minorcalc.matrixio import MAX_FILE_DIGITS
 
 
 def write_matrix(tmp_path, data, name="m.json"):
@@ -54,6 +60,19 @@ class TestMinors:
         with pytest.raises(SystemExit) as exc:
             main(["minors", "--matrix", write_matrix(tmp_path, data)])
         assert exc.value.code == 2
+
+    def test_oversized_entry_is_quick_usage_error(self, tmp_path, capsys):
+        # converting a 1,000,000-digit entry to int and back took 25 s
+        big = tmp_path / "big.json"
+        big.write_text('{"ring": {"kind": "int"}, "n": 1, "entries": [[%s]]}' % ("9" * 10**6))
+        t0 = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(["minors", "--matrix", str(big)])
+        assert time.perf_counter() - t0 < 1
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"more than {MAX_FILE_DIGITS} digits" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -151,6 +170,9 @@ class TestSynth:
 
 
 class TestVerify:
+    def test_suite_names_are_the_suites(self):
+        assert list(cli.SUITE_NAMES) == sorted(suites.SUITES)
+
     def test_suite_passes(self, capsys):
         rc = main(["verify", "symbolic", "--n", "2", "--m", "3"])
         assert rc == 0
@@ -320,3 +342,36 @@ def test_no_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+# the modules bench/tracer.py reads after `import minorcalc.cli`, and the
+# names it patches in each
+TRACED_NAMES = {
+    "poly": ("Polynomial.__mul__", "Polynomial.__add__", "Polynomial.eval", "Polynomial.__str__"),
+    "series": ("TruncatedSeries.inverse", "TruncatedSeries.__mul__"),
+    "matrix": ("Matrix.principal_minors", "Matrix.pow", "Matrix.mul"),
+    "rings": ("IntegerRing.mul", "ModularRing.mul", "FootnoteAlgebra.mul"),
+    "universal": ("synth_diag", "synth_diag.cache_info", "synth_offdiag", "eval_universal"),
+    "scan": ("run_scan",),
+    "matrixio": ("load_matrix_file",),
+}
+
+
+def test_cli_import_loads_traced_modules_and_defers_the_rest():
+    # a fresh interpreter, so that modules the tests imported do not count
+    code = ("import sys; before = set(sys.modules); import minorcalc.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    env = dict(os.environ, PYTHONPATH=str(Path(minorcalc.__file__).parents[1]))
+    loaded = set(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True, check=True).stdout.split())
+    assert {f"minorcalc.{name}" for name in TRACED_NAMES} <= loaded
+    assert not loaded & {"dataclasses", "inspect", "fractions", "minorcalc.suites",
+                         "minorcalc.demos"}
+
+
+@pytest.mark.parametrize("module,name", [(m, n) for m, names in TRACED_NAMES.items() for n in names])
+def test_traced_names_stay_in_place(module, name):
+    owner = sys.modules[f"minorcalc.{module}"]
+    for part in name.split("."):
+        owner = getattr(owner, part)
+    assert callable(owner)

@@ -4,6 +4,7 @@ import pytest
 
 from minorcalc.matrix import Matrix
 from minorcalc.matrixio import (
+    MAX_FILE_DIGITS,
     load_matrix_file,
     matrix_from_json,
     matrix_to_json,
@@ -104,3 +105,19 @@ class TestMatrixJson:
         ))
         A = load_matrix_file(str(path))
         assert A.pow(2).entry(1, 1) == 7
+
+    def test_digit_budget_of_a_file(self, tmp_path):
+        # an 8 x 8 file whose integers have exactly MAX_FILE_DIGITS digits
+        # loads, signs not counted; one digit more is refused
+        width = (MAX_FILE_DIGITS - 1) // 64
+        first = -int("7" * (MAX_FILE_DIGITS - 1 - 63 * width))
+        entries = [[int("3" * width)] * 8 for _ in range(8)]
+        entries[0][0] = first
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"ring": {"kind": "int"}, "n": 8, "entries": entries}))
+        A = load_matrix_file(str(path))
+        assert A.entry(1, 1) == first and A.entry(8, 8) == int("3" * width)
+        entries[0][0] = first * 10
+        path.write_text(json.dumps({"ring": {"kind": "int"}, "n": 8, "entries": entries}))
+        with pytest.raises(ValueError, match=f"more than {MAX_FILE_DIGITS} digits"):
+            load_matrix_file(str(path))

@@ -13,6 +13,7 @@ from minorcalc.scan import (
     DEFAULT_ENTRY_BOUND,
     ScanReport,
     Violation,
+    _pair_pruned_matrices,
     reverify_violation,
     run_scan,
 )
@@ -49,6 +50,25 @@ class TestExhaustiveScan:
         assert report.scanned == ring.modulus ** (n * n)
         assert report.candidates == expected
         assert report.violations == sorted(violations, key=Violation.sort_key)
+
+    @pytest.mark.parametrize("spec,n", [("mod:2", 1), ("mod:5", 1), ("mod:6", 2), ("mod:2", 3),
+                                        ("mod:4", 3), ("mod:3", 3)])
+    def test_pair_pruned_matrices_match_a_filter_of_the_space(self, spec, n):
+        # every matrix of the space with 1s on the diagonal and
+        # a_ij * a_ji = 0 for i < j, each once, as row tuples
+        ring = ring_from_spec(spec)
+        k = ring.modulus
+        expected = []
+        for flat in product(range(k), repeat=n * n):
+            rows = tuple(flat[r * n : (r + 1) * n] for r in range(n))
+            if all(rows[i][i] == 1 for i in range(n)) and all(
+                rows[i][j] * rows[j][i] % k == 0 for i in range(n) for j in range(i + 1, n)
+            ):
+                expected.append(rows)
+        got = list(_pair_pruned_matrices(ring, n))
+        assert all(type(rows) is tuple and all(type(r) is tuple for r in rows) for rows in got)
+        assert len(got) == len(set(got))
+        assert sorted(got) == expected
 
     @pytest.mark.parametrize("spec,n,candidates", [("mod:16777216", 1, 1), ("mod:64", 2, 256)])
     def test_large_modulus_under_the_limit_is_quick(self, spec, n, candidates):
