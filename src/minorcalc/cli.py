@@ -10,11 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import comb, log2, log10
 
 from .matrix import require_size
-from .matrixio import load_matrix_file
+from .matrixio import MAX_FILE_DIGITS, load_matrix_file
 from .poly import POLY_RING
-from .rings import FootnoteAlgebra, PrimeField
+from .rings import FootnoteAlgebra, IntegerRing, PrimeField
 from .scan import run_scan
 from .universal import synth_diag, synth_offdiag
 
@@ -52,10 +53,26 @@ def _cmd_minors(args) -> int:
     return 0
 
 
+def _power_digits(matrix, m: int) -> float:
+    """An upper bound on the decimal digits of all principal minors of
+    A^m for an integer n x n matrix A: with a = max |a_ij|, an entry of
+    A^m is at most (n*a)^m in size, so it has at most e = m*log2(n*a)
+    bits, and by Hadamard's inequality a size-s minor has at most
+    s*(e + log2(s)/2)."""
+    n = matrix.nrows
+    a = max((abs(v) for row in matrix.rows for v in row), default=0)
+    e = m * log2(max(n * a, 1))
+    return log10(2) * sum(comb(n, s) * s * (e + log2(s) / 2) for s in range(1, n + 1))
+
+
 def _cmd_pow_minors(args) -> int:
     matrix = _load_matrix_or_die(args.matrix)
     if args.m < 0:
         _usage_error("power must be nonnegative")
+    # integers grow with m (Z/k and the quotient algebra do not), and Python
+    # prints a big int in quadratic time: refuse before the first product
+    if isinstance(matrix.ring, IntegerRing) and _power_digits(matrix, args.m) > MAX_FILE_DIGITS:
+        _usage_error(f"the minors of A^{args.m} may have more than {MAX_FILE_DIGITS} digits in all")
     _print_minor_table(matrix.pow(args.m), args.json)
     return 0
 

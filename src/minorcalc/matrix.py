@@ -215,17 +215,26 @@ class Matrix:
         return self.mul(other)
 
     def pow(self, m: int) -> "Matrix":
-        """A^m by repeated squaring; A^0 is the identity."""
+        """A^m by repeated squaring; A^0 is the identity and A^1 is A.
+
+        The result starts at the power of A for the lowest set bit of m,
+        not at the identity, so for m >= 1 it takes bit_length(m) - 1
+        squarings and popcount(m) - 1 further products."""
         self._require_square("matrix power")
         if m < 0:
             raise ValueError("negative matrix power")
-        result = Matrix.identity(self.ring, self.nrows)
+        if m == 0:
+            return Matrix.identity(self.ring, self.nrows)
         base = self
-        while m:
+        while not m & 1:
+            base = base.mul(base)
+            m >>= 1
+        result = base
+        while m > 1:
+            m >>= 1
+            base = base.mul(base)
             if m & 1:
                 result = result.mul(base)
-            base = base.mul(base) if m > 1 else base
-            m >>= 1
         return result
 
     def _check_ring(self, other: "Matrix"):

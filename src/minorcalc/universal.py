@@ -34,7 +34,9 @@ each pair (u_k, v_k) that occurs, one fragment per size for each term,
 and one int sort of the keys, which gives the text of str(body).
 eval_universal works from them too: P[n,i,m] is the sum over types of
 G * prod_k U_k^u_k F_k^v_k, so it sums the minors of each group in use
-and multiplies powers of those sums.  body, the expanded polynomial, is
+and multiplies powers of those sums, in native ints over Z, Z/k and F_p
+(reduced mod k, once per power and once at the end) and through the
+ring's operations otherwise.  body, the expanded polynomial, is
 built only when it is read; nothing in the package reads it, and the
 tests use Polynomial.eval on it as the oracle of eval_universal.
 The certificates need the coefficients of 1/d(t), polynomials in the
@@ -59,7 +61,7 @@ from .matrix import (
 )
 from .poly import POLY_RING, Polynomial, pvar, qvar, xvar
 from .records import Record
-from .rings import Ring
+from .rings import Ring, int_modulus
 
 # the most terms a P[n,i,m] body or a certificate may have
 MAX_TERMS = 1 << 20
@@ -392,12 +394,32 @@ def eval_universal(U: UniversalPolynomial, table, ring: Ring):
     Evaluated from the types, with no expanded body: the sum over types
     of G * prod over groups of (the group's sum of minors)^count.  A
     group's sum is formed only if some type puts a nonzero count on it,
-    and its powers are built once per call, by repeated ring.mul."""
+    and its powers are built once per call.  Over Z, Z/k and F_p
+    (int_modulus) they are native ints, each power reduced mod k (not at
+    all over Z), G is multiplied in as an int and the sum is reduced once
+    at the end; every other ring runs the same loop through its own
+    operations.  The table must be over ``ring``."""
     if table.n != U.n:
         raise ValueError(f"minor table for n={table.n}, polynomial for n={U.n}")
+    if table.ring != ring:
+        raise ValueError(f"minor table over {table.ring!r}, evaluation over {ring!r}")
     values, groups = table.values, _diag_groups(U.n, U.i)
-    add, mul, from_int = ring.add, ring.mul, ring.from_int
     powers = [None] * len(groups)  # group -> [1, s, s^2, ...] once needed
+    modulus = int_modulus(ring)
+    if modulus is not None:
+        total = 0
+        for counts, g in U.types.items():
+            for k, c in enumerate(counts):
+                if c:
+                    power = powers[k]
+                    if power is None:
+                        power = powers[k] = [1, sum([values[mask] for mask in groups[k]])]
+                    while len(power) <= c:
+                        power.append(power[-1] * power[1] % modulus if modulus else power[-1] * power[1])
+                    g *= power[c]
+            total += g
+        return ring.from_int(total)
+    add, mul, from_int = ring.add, ring.mul, ring.from_int
     total = ring.zero()
     for counts, g in U.types.items():
         val = from_int(g)

@@ -117,6 +117,25 @@ class TestPowMinors:
             main(["pow-minors", "--matrix", write_matrix(tmp_path, INT_2X2), "-m", "-1"])
         assert exc.value.code == 2
 
+    def test_oversized_integer_power_is_quick_usage_error(self, tmp_path, capsys):
+        # the Fibonacci entries of [[1,1],[1,0]]^16000000 have 3.3 million
+        # digits, which take minutes to compute and print
+        fib = {"ring": {"kind": "int"}, "n": 2, "entries": [[1, 1], [1, 0]]}
+        t0 = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(["pow-minors", "--matrix", write_matrix(tmp_path, fib), "-m", "16000000"])
+        assert time.perf_counter() - t0 < 1
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"more than {MAX_FILE_DIGITS} digits" in captured.err
+        # just under the bound the command runs; Z/k entries do not grow
+        assert main(["pow-minors", "--matrix", write_matrix(tmp_path, fib), "-m", "80000"]) == 0
+        assert len(capsys.readouterr().out) < MAX_FILE_DIGITS
+        mod4 = dict(fib, ring={"kind": "mod", "modulus": 4})
+        assert main(["pow-minors", "--matrix", write_matrix(tmp_path, mod4), "-m", "16000000"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["p{} = 1", "p{1} = 1", "p{2} = 2", "p{1,2} = 1"]
+
     def test_exact_ints_past_the_str_digit_limit(self, tmp_path, capsys):
         # 2^20000 has 6,021 digits, past Python's default limit of 4,300 for
         # int <-> str conversion; main lifts it, so this is no internal error

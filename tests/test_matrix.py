@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import det_leibniz, schoolbook
+from minorcalc import matrix
 from minorcalc.laplace import _minor_kernel, _product_kernel
 from minorcalc.matrix import (
     MAX_SIZE,
@@ -532,3 +533,43 @@ def test_product_above_max_size_matches_schoolbook():
         assert values == tuple(det_leibniz(A.submatrix(Subset(n, m), Subset(n, m))) for m, _ in pairs)
         assert all(_is_canonical(ring, v) for v in values + sum(rows, ()))
         assert [cache.cache_info().currsize for cache in caches] == before
+
+
+@st.composite
+def _square_matrices(draw):
+    """An n x n matrix (1 <= n <= 5) over a ring of _ORACLE_RINGS."""
+    ring, element = draw(st.sampled_from(_ORACLE_RINGS))
+    n = draw(st.integers(1, 5))
+    return Matrix(ring, [[draw(element) for _ in range(n)] for _ in range(n)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_square_matrices())
+def test_pow_matches_repeated_schoolbook_products(A):
+    ring, n = A.ring, A.nrows
+    assert A.pow(0) == Matrix.identity(ring, n)
+    assert A.pow(1) == A
+    expected = Matrix.identity(ring, n)
+    for m in range(10):
+        assert A.pow(m) == expected
+        expected = Matrix(ring, schoolbook(expected, A))
+
+
+def test_pow_takes_no_identity_product(monkeypatch):
+    # A^m for m >= 1 takes bit_length(m) - 1 squarings and popcount(m) - 1
+    # further products: 1 at m = 2, 2 at m = 4, 3 at m = 6
+    shapes = []
+    make = matrix.product_function
+
+    def counting(ring, p, q, s):
+        product = make(ring, p, q, s)
+        return lambda a, b: shapes.append((p, q, s)) or product(a, b)
+
+    monkeypatch.setattr(matrix, "product_function", counting)
+    for ring in (Z, FootnoteAlgebra()):
+        A = Matrix(ring, [[ring.one(), ring.zero()], [ring.one(), ring.one()]])
+        for m in range(70):
+            shapes.clear()
+            A.pow(m)
+            assert len(shapes) == (m.bit_count() + m.bit_length() - 2 if m else 0)
+            assert set(shapes) <= {(2, 2, 2)}

@@ -1,6 +1,5 @@
 import hashlib
 import random
-from dataclasses import dataclass, field
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import diag_oracle, offdiag_oracle
 from minorcalc.matrix import Matrix, Subset, all_subsets, diag_reindex
 from minorcalc.poly import POLY_RING, Polynomial, pvar, qvar, var_key
-from minorcalc.rings import FootnoteAlgebra, IntegerRing, ModularRing, PrimeField, RationalField
+from minorcalc.rings import FootnoteAlgebra, IntegerRing, ModularRing, PrimeField, RationalField, Ring, int_modulus
 from minorcalc import suites, universal
 from minorcalc.series import TruncatedSeries
 from minorcalc.universal import (
@@ -123,6 +122,18 @@ class TestEvalUniversal:
         A = Matrix.from_ints(Z, [[1, 2], [3, 4]])
         with pytest.raises(ValueError):
             eval_universal(synth_diag(3, 1, 2), A.principal_minors(), Z)
+
+    def test_ring_mismatch(self):
+        # unchecked, a Z/4 table read over Z gives a wrong value and a
+        # quotient-algebra table fails with a TypeError inside the arithmetic
+        mod4 = Matrix.from_ints(ModularRing(4), [[1, 2], [3, 0]]).principal_minors()
+        footnote = suites.random_matrix(FootnoteAlgebra(), 2, random.Random(2)).principal_minors()
+        for table in (mod4, footnote):
+            with pytest.raises(ValueError, match="minor table over"):
+                eval_universal(synth_diag(2, 1, 2), table, Z)
+        with pytest.raises(ValueError, match="minor table over"):
+            eval_universal(synth_diag(2, 1, 2), mod4, PrimeField(2))
+        assert eval_universal(synth_diag(2, 1, 2), mod4, ModularRing(4)) == 3
 
     def test_defining_identity_random_rings(self):
         rings = [
@@ -503,15 +514,52 @@ def test_eval_by_type_matches_the_body_on_the_generic_matrix(n):
             assert eval_universal(U, table, POLY_RING) == U.body.eval(assignment, POLY_RING)
 
 
-@dataclass(frozen=True)
-class _AddCountingZ(IntegerRing):
-    """Z that records each add call."""
+class _IntOps(Ring):
+    """Z (k = 0) or Z/k through the five required ring operations alone;
+    int_modulus does not recognise it, so eval_universal takes its ring-op
+    loop.  Counts its additions."""
 
-    adds: list = field(default_factory=list)
+    def __init__(self, k: int = 0):
+        self.k, self.adds = k, 0
+
+    def _reduce(self, a):
+        return a % self.k if self.k else a
+
+    def zero(self):
+        return 0
+
+    def one(self):
+        return self._reduce(1)
 
     def add(self, a, b):
-        self.adds.append((a, b))
-        return a + b
+        self.adds += 1
+        return self._reduce(a + b)
+
+    def mul(self, a, b):
+        return self._reduce(a * b)
+
+    def neg(self, a):
+        return self._reduce(-a)
+
+
+_NATIVE_RINGS = (Z, ModularRing(2), ModularRing(4), ModularRing(6), PrimeField(101))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(_NATIVE_RINGS), st.integers(1, 5), st.integers(0, 6), st.data())
+def test_native_eval_matches_the_ring_ops_and_the_body(ring, n, m, data):
+    # three ways: native ints, the ring-op loop over the same residues, and
+    # Polynomial.eval of the expanded body; m = 0 is the constant type
+    k = int_modulus(ring)
+    entry = st.integers(-(2**70), 2**70) if k == 0 else st.integers(0, k - 1)
+    rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    A, ops = Matrix(ring, rows), _IntOps(k)
+    table, ops_table, assignment = A.principal_minors(), Matrix(ops, rows).principal_minors(), minor_assignment(A)
+    for i in range(1, n + 1):
+        U = synth_diag(n, i, m)
+        native = eval_universal(U, table, ring)
+        assert type(native) is int
+        assert native == eval_universal(U, ops_table, ops) == U.body.eval(assignment, ring)
 
 
 class TestEvalByType:
@@ -537,11 +585,12 @@ class TestEvalByType:
         # P[8,i,1] = p{i} reads one of the 255 nonempty subsets
         rng = random.Random(8)
         A = Matrix.from_ints(Z, [[rng.randint(-9, 9) for _ in range(8)] for _ in range(8)])
-        table = A.principal_minors()
+        ring = _IntOps()
+        ops_table = Matrix(ring, A.rows).principal_minors()
         for i in range(1, 9):
-            ring = _AddCountingZ()
-            assert eval_universal(synth_diag(8, i, 1), table, ring) == A.entry(i, i)
-            assert len(ring.adds) < 16
+            ring.adds = 0
+            assert eval_universal(synth_diag(8, i, 1), ops_table, ring) == A.entry(i, i)
+            assert ring.adds < 16
 
 
 def test_n8_digest_is_pinned():
