@@ -13,10 +13,14 @@ ring instance (Z/4, the counterexample algebra, ...).
 Over Z and Z/k, whose elements are plain ints, minors and products of
 sizes up to MAX_SIZE come from straight-line int kernels generated once
 per size, reduced mod k once per minor or product entry (not at all over
-Z); Z -> Z/k is a ring homomorphism, so the residues are exact.  Other
-rings, and int rings above MAX_SIZE, where nothing is cached or
-compiled, run the program as one loop through their own ring operations,
-skipping the matrix's zero entries, and products as schoolbook sums.
+Z); Z -> Z/k is a ring homomorphism, so the residues are exact.  Over
+the counterexample algebra on such a base, the program and the
+schoolbook product run as fixed loops on the six int coordinates, with
+the algebra's structure constants written out and the same reduction,
+at every size.  Other rings (the algebra over Q, polynomials, ...), and
+int rings above MAX_SIZE, where nothing is cached or compiled, run the
+program as one loop through their own ring operations, skipping the
+matrix's zero entries, and products as schoolbook sums.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import Iterable, Iterator
 
 from .laplace import _laplace_program, _minor_kernel, _product_kernel
 from .records import Record
-from .rings import Ring, int_modulus
+from .rings import FootnoteAlgebra, Ring, int_modulus
 
 # The largest n accepted by the commands and suites that enumerate all
 # 2^n principal minors or subsets of [n].
@@ -303,8 +307,9 @@ def minor_function(ring: Ring, n: int, targets: tuple):
     """``table(rows)``: the tuple of minors on ``targets``, (row mask,
     column mask) pairs of equal popcount, of the n x n matrix with row
     tuples ``rows`` over ``ring``.  Over int rings up to MAX_SIZE it is
-    the generated kernel; otherwise it runs the Laplace program as one
-    loop over the ring's operations that skips the zero entries."""
+    the generated kernel, over the algebra on an int base the coordinate
+    loop; otherwise it runs the Laplace program as one loop over the
+    ring's operations that skips the zero entries."""
     k = int_modulus(ring)
     if n <= MAX_SIZE:
         if k is not None:
@@ -312,6 +317,8 @@ def minor_function(ring: Ring, n: int, targets: tuple):
         entries, where = _laplace_program(n, targets)
     else:
         entries, where = _laplace_program.__wrapped__(n, targets)
+    if isinstance(ring, FootnoteAlgebra) and ring._k is not None:
+        return _algebra_table(entries, where, ring._k)
     zero, one, add, sub, mul = ring.zero(), ring.one(), ring.add, ring.sub, ring.mul
 
     def table(rows):
@@ -333,16 +340,83 @@ def minor_function(ring: Ring, n: int, targets: tuple):
 def product_function(ring: Ring, p: int, q: int, s: int):
     """``product(a, b)``: the product of the p x q and q x s matrices
     with row tuples ``a`` and ``b`` over ``ring``, as row tuples: the
-    generated kernel over int rings up to MAX_SIZE, else the schoolbook
-    sum through the ring's operations."""
+    generated kernel over int rings up to MAX_SIZE, the coordinate loop
+    over the algebra on an int base, else the schoolbook sum through the
+    ring's operations."""
     k = int_modulus(ring)
     if k is not None and max(p, q, s) <= MAX_SIZE:
         return _product_kernel(p, q, s, k != 0)(k)
+    if isinstance(ring, FootnoteAlgebra) and ring._k is not None:
+        return _algebra_product(ring._k)
     zero, add, mul = ring.zero(), ring.add, ring.mul
 
     def product(a, b):
         cols = tuple(zip(*b))
         return tuple(tuple(reduce(add, map(mul, row, col), zero) for col in cols) for row in a)
+
+    return product
+
+
+def _algebra_table(entries: tuple, where: tuple, k: int):
+    """The Laplace program (``entries``, ``where``) over the quotient
+    algebra on Z/k (Z if k is 0), on the coordinates: each minor sums
+    the structure-constant formulas of its terms as six int locals and
+    is reduced mod k once, with no ring operation."""
+
+    def table(rows):
+        # vals[-1] is the empty minor, which every 1x1 entry multiplies by
+        vals = [None] * len(entries) + [(1, 0, 0, 0, 0, 0)]
+        nonzero = [[e if any(e) else None for e in row] for row in rows]
+        for at, terms in enumerate(entries):
+            c0 = c1 = c2 = c3 = c4 = c5 = 0
+            for i, j, negative, s in terms:
+                a = nonzero[i][j]
+                if a is None:
+                    continue
+                a0, a1, a2, a3, a4, a5 = a
+                b0, b1, b2, b3, b4, b5 = vals[s]
+                if negative:
+                    c0 -= a0 * b0
+                    c1 -= a0 * b1 + a1 * b0
+                    c2 -= a0 * b2 + a2 * b0
+                    c3 -= a0 * b3 + a3 * b0 + a1 * b1
+                    c4 -= a0 * b4 + a4 * b0 + a2 * b2
+                    c5 -= a0 * b5 + a5 * b0 + a1 * b3 + a3 * b1 - a2 * b4 - a4 * b2
+                else:
+                    c0 += a0 * b0
+                    c1 += a0 * b1 + a1 * b0
+                    c2 += a0 * b2 + a2 * b0
+                    c3 += a0 * b3 + a3 * b0 + a1 * b1
+                    c4 += a0 * b4 + a4 * b0 + a2 * b2
+                    c5 += a0 * b5 + a5 * b0 + a1 * b3 + a3 * b1 - a2 * b4 - a4 * b2
+            vals[at] = (c0 % k, c1 % k, c2 % k, c3 % k, c4 % k, c5 % k) if k else (c0, c1, c2, c3, c4, c5)
+        return tuple(vals[t] for t in where)
+
+    return table
+
+
+def _algebra_product(k: int):
+    """Schoolbook products over the quotient algebra on Z/k (Z if k is
+    0) on the coordinates, each entry reduced mod k once."""
+
+    def product(a, b):
+        cols = tuple(zip(*b))
+        out = []
+        for row in a:
+            out_row = []
+            for col in cols:
+                c0 = c1 = c2 = c3 = c4 = c5 = 0
+                for (a0, a1, a2, a3, a4, a5), (b0, b1, b2, b3, b4, b5) in zip(row, col):
+                    c0 += a0 * b0
+                    c1 += a0 * b1 + a1 * b0
+                    c2 += a0 * b2 + a2 * b0
+                    c3 += a0 * b3 + a3 * b0 + a1 * b1
+                    c4 += a0 * b4 + a4 * b0 + a2 * b2
+                    c5 += a0 * b5 + a5 * b0 + a1 * b3 + a3 * b1 - a2 * b4 - a4 * b2
+                out_row.append((c0 % k, c1 % k, c2 % k, c3 % k, c4 % k, c5 % k) if k
+                               else (c0, c1, c2, c3, c4, c5))
+            out.append(tuple(out_row))
+        return tuple(out)
 
     return product
 

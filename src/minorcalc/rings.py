@@ -7,7 +7,9 @@ Everything is exact: no floating point anywhere.
 Over Z, Z/k and F_p the elements are plain ints, and ``int_modulus``
 says so: k for Z/k and F_k, 0 for Z, None otherwise.  The matrix kernel
 and the quotient algebra both use it to pick native int arithmetic,
-reduced mod k once per result, over the ring's own operations.
+reduced mod k once per result, over the ring's own operations; over the
+quotient algebra, ``matrix`` computes minor tables and products on the
+coordinates as well.
 ``PrimeField`` checks its modulus with deterministic Miller-Rabin, which
 is exact below ``MR_EXACT_BOUND`` and refuses larger moduli.
 """
@@ -269,7 +271,9 @@ class FootnoteAlgebra(Ring, Record):
     Over a base whose elements are plain ints (Z, Z/k, F_p) every
     operation uses int operators and reduces each coordinate mod k once;
     other bases (Q, ...) compute the same formulas with their own ring
-    operations.
+    operations.  Over an int base, ``matrix`` computes minor tables and
+    products with these formulas written out on the coordinates, one
+    reduction per minor or product entry, without calling ``mul``.
     """
 
     _fields = ("base",)

@@ -49,7 +49,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import compress, product
 from math import comb
 
 from .matrix import (
@@ -405,36 +405,37 @@ def eval_universal(U: UniversalPolynomial, table, ring: Ring):
         raise ValueError(f"minor table over {table.ring!r}, evaluation over {ring!r}")
     values, groups = table.values, _diag_groups(U.n, U.i)
     powers = [None] * len(groups)  # group -> [1, s, s^2, ...] once needed
+    # compress(used, counts) visits only the groups with a nonzero count;
+    # most counts are 0
+    used = range(len(groups))
     modulus = int_modulus(ring)
     if modulus is not None:
         total = 0
         for counts, g in U.types.items():
-            for k, c in enumerate(counts):
-                if c:
-                    power = powers[k]
-                    if power is None:
-                        power = powers[k] = [1, sum([values[mask] for mask in groups[k]])]
-                    while len(power) <= c:
-                        power.append(power[-1] * power[1] % modulus if modulus else power[-1] * power[1])
-                    g *= power[c]
+            for k in compress(used, counts):
+                c, power = counts[k], powers[k]
+                if power is None:
+                    power = powers[k] = [1, sum([values[mask] for mask in groups[k]])]
+                while len(power) <= c:
+                    power.append(power[-1] * power[1] % modulus if modulus else power[-1] * power[1])
+                g *= power[c]
             total += g
         return ring.from_int(total)
     add, mul, from_int = ring.add, ring.mul, ring.from_int
     total = ring.zero()
     for counts, g in U.types.items():
         val = from_int(g)
-        for k, c in enumerate(counts):
-            if c:
-                power = powers[k]
-                if power is None:
-                    first, *rest = groups[k]
-                    s = values[first]
-                    for mask in rest:
-                        s = add(s, values[mask])
-                    power = powers[k] = [ring.one(), s]
-                while len(power) <= c:
-                    power.append(mul(power[-1], power[1]))
-                val = mul(val, power[c])
+        for k in compress(used, counts):
+            c, power = counts[k], powers[k]
+            if power is None:
+                first, *rest = groups[k]
+                s = values[first]
+                for mask in rest:
+                    s = add(s, values[mask])
+                power = powers[k] = [ring.one(), s]
+            while len(power) <= c:
+                power.append(mul(power[-1], power[1]))
+            val = mul(val, power[c])
         total = add(total, val)
     return total
 

@@ -50,6 +50,35 @@ def det_leibniz(M):
     return total
 
 
+class IntOps(Ring):
+    """Z (k = 0) or Z/k through the five required ring operations alone;
+    int_modulus does not recognise it, so the matrix kernel, the quotient
+    algebra over it and eval_universal take their ring-op loops.  Counts
+    its additions."""
+
+    def __init__(self, k: int = 0):
+        self.k, self.adds = k, 0
+
+    def _reduce(self, a):
+        return a % self.k if self.k else a
+
+    def zero(self):
+        return 0
+
+    def one(self):
+        return self._reduce(1)
+
+    def add(self, a, b):
+        self.adds += 1
+        return self._reduce(a + b)
+
+    def mul(self, a, b):
+        return self._reduce(a * b)
+
+    def neg(self, a):
+        return self._reduce(-a)
+
+
 def schoolbook(A, B):
     """Independent product oracle: entry sums through ring.add/ring.mul."""
     r = A.ring

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import det_leibniz, schoolbook
+from conftest import IntOps, det_leibniz, schoolbook
 from minorcalc import matrix
 from minorcalc.laplace import _minor_kernel, _product_kernel
 from minorcalc.matrix import (
@@ -413,7 +413,8 @@ def _rational_matrix(rng, n):
     ids=["Q", "footnote", "poly"],
 )
 def test_other_rings_keep_type_and_value(make, kind):
-    # these rings take their own ring operations, not the int path
+    # Q and polynomials take their own ring operations; the algebra over
+    # F_2 takes the coordinate loops, which keep its elements 6-tuples
     rng = random.Random(41)
     for n in range(1, 4):
         A = make(rng, n)
@@ -573,3 +574,141 @@ def test_pow_takes_no_identity_product(monkeypatch):
             A.pow(m)
             assert len(shapes) == (m.bit_count() + m.bit_length() - 2 if m else 0)
             assert set(shapes) <= {(2, 2, 2)}
+
+
+# The quotient algebra over every kind of int base.  The coordinate loops
+# that ``matrix`` runs over it are checked against det_leibniz and
+# schoolbook, which go through FootnoteAlgebra.mul, and above MAX_SIZE
+# against the ring-op loops over the same ints through IntOps.
+_ALGEBRA_BASES = [PrimeField(2), PrimeField(3), ModularRing(4), ModularRing(6), Z]
+
+
+def _is_canonical_element(ring, value):
+    """A 6-tuple of ints, each in 0..k-1 over Z/k."""
+    return type(value) is tuple and len(value) == 6 and all(_is_canonical(ring.base, c) for c in value)
+
+
+@st.composite
+def _algebra_rows(draw, ring, nrows, ncols, canonical):
+    """Row lists whose entries and coordinates are 0 about half the time;
+    over Z/k the coordinates are residues if ``canonical``, else any ints
+    up to 2^70 in size, as they always are over Z."""
+    base = ring.base
+    if canonical and isinstance(base, ModularRing):
+        coordinate = st.integers(0, base.modulus - 1)
+    else:
+        coordinate = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70))
+    sparse = st.one_of(st.just(0), coordinate)
+    entry = st.one_of(st.just(ring.zero()), st.tuples(*[sparse] * 6))
+    return [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+
+
+@st.composite
+def _algebra_squares(draw):
+    """An n x n matrix (n <= 6) over the algebra on an int base, dense or
+    unitriangular as scans produce them."""
+    ring = FootnoteAlgebra(draw(st.sampled_from(_ALGEBRA_BASES)))
+    n = draw(st.integers(0, 6))
+    rows = draw(_algebra_rows(ring, n, n, draw(st.booleans())))
+    if draw(st.booleans()):
+        rows = [[ring.one() if i == j else ring.zero() if j < i else e for j, e in enumerate(row)]
+                for i, row in enumerate(rows)]
+    return Matrix(ring, rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_algebra_squares())
+def test_algebra_coordinate_loops_match_ring_op_oracles(A):
+    ring, n = A.ring, A.nrows
+    table = A.principal_minors()
+    for s in all_subsets(n):
+        assert table[s] == det_leibniz(A.submatrix(s, s))
+    det, adj = A.det(), A.adjugate()
+    assert det == det_leibniz(A)
+    full = Subset.full(n)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            minor = det_leibniz(A.submatrix(full.without(j), full.without(i)))
+            assert adj.entry(i, j) == (minor if (i + j) % 2 == 0 else ring.neg(minor))
+    results = [det, *table.values.values(), *sum(adj.rows, ())]
+    # A^1 is A itself, entries as given; every other power is computed
+    assert A.pow(1) == A
+    expected = Matrix(ring, schoolbook(A, A))
+    for m in range(2, 7):
+        power = A.pow(m)
+        assert power == expected
+        results += sum(power.rows, ())
+        expected = Matrix(ring, schoolbook(expected, A))
+    assert all(_is_canonical_element(ring, v) for v in results)
+
+
+@st.composite
+def _algebra_products(draw):
+    """A p x q and a q x s matrix over the algebra on an int base, p, q,
+    s <= MAX_SIZE (q = 0 when p = 0 and s = 0 when q = 0)."""
+    ring = FootnoteAlgebra(draw(st.sampled_from(_ALGEBRA_BASES)))
+    canonical = draw(st.booleans())
+    p, q, s = (draw(st.integers(0, MAX_SIZE)) for _ in range(3))
+    A = Matrix(ring, draw(_algebra_rows(ring, p, q, canonical)))
+    return A, Matrix(ring, draw(_algebra_rows(ring, A.ncols, s, canonical)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_algebra_products())
+def test_algebra_products_match_schoolbook(pair):
+    A, B = pair
+    rows = A.mul(B).rows
+    assert [list(row) for row in rows] == schoolbook(A, B)
+    assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+    assert all(_is_canonical_element(A.ring, v) for row in rows for v in row)
+
+
+def test_algebra_above_max_size_matches_the_ring_op_loops():
+    # the coordinate loops run at every size: the full table, det, adjugate
+    # and products of a 9 x 9 matrix equal those of the ring-op loops over
+    # IntOps, and its small minors those of det_leibniz
+    rng = random.Random(67)
+    n = MAX_SIZE + 1
+    caches = (_laplace_program, _minor_kernel, _product_kernel)
+    for k, base in ((4, ModularRing(4)), (0, Z)):
+        ring, ops = FootnoteAlgebra(base), FootnoteAlgebra(IntOps(k))
+        rows = [[tuple(rng.choice((0, rng.randint(-(2**70), 2**70))) for _ in range(6))
+                 if rng.randrange(3) else ring.zero() for _ in range(n)] for _ in range(n)]
+        A, O = Matrix(ring, rows), Matrix(ops, rows)
+        before = [cache.cache_info().currsize for cache in caches]
+        table = A.principal_minors()
+        assert table.values == O.principal_minors().values
+        for s in all_subsets(n):
+            if len(s) <= 3:
+                assert table[s] == det_leibniz(A.submatrix(s, s))
+        assert A.adjugate().rows == O.adjugate().rows
+        square = A.mul(A)
+        assert square.rows == O.mul(O).rows
+        assert A.pow(3).rows == O.pow(3).rows
+        assert [list(row) for row in square.rows] == schoolbook(A, A)
+        results = [*table.values.values(), *sum(square.rows, ())]
+        assert all(_is_canonical_element(ring, v) for v in results)
+        assert [cache.cache_info().currsize for cache in caches] == before
+
+
+def test_algebra_tables_and_products_make_no_ring_op_mul(monkeypatch):
+    # over an int base neither loop calls FootnoteAlgebra.mul; over Q both
+    # still do, and keep the coordinates Fractions
+    calls = []
+    mul = FootnoteAlgebra.mul
+    monkeypatch.setattr(FootnoteAlgebra, "mul", lambda self, a, b: calls.append(self) or mul(self, a, b))
+    rng = random.Random(71)
+    for base in (PrimeField(2), ModularRing(4)):
+        ring = FootnoteAlgebra(base)
+        for n in range(1, 6):
+            A = random_matrix(ring, n, rng)
+            A.principal_minors(), A.mul(A), A.pow(5)
+    assert calls == []
+    ring = FootnoteAlgebra(RationalField())
+    for n in range(1, 4):
+        A = Matrix(ring, [[tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(6))
+                           for _ in range(n)] for _ in range(n)])
+        table, square, power = A.principal_minors(), A.mul(A), A.pow(3)
+        results = [*table.values.values(), *sum(square.rows + power.rows, ())]
+        assert all(type(v) is tuple and all(type(c) is Fraction for c in v) for v in results)
+    assert calls and set(calls) == {ring}

@@ -4,10 +4,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import diag_oracle, offdiag_oracle
+from conftest import IntOps, diag_oracle, offdiag_oracle
 from minorcalc.matrix import Matrix, Subset, all_subsets, diag_reindex
 from minorcalc.poly import POLY_RING, Polynomial, pvar, qvar, var_key
-from minorcalc.rings import FootnoteAlgebra, IntegerRing, ModularRing, PrimeField, RationalField, Ring, int_modulus
+from minorcalc.rings import FootnoteAlgebra, IntegerRing, ModularRing, PrimeField, RationalField, int_modulus
 from minorcalc import suites, universal
 from minorcalc.series import TruncatedSeries
 from minorcalc.universal import (
@@ -514,34 +514,6 @@ def test_eval_by_type_matches_the_body_on_the_generic_matrix(n):
             assert eval_universal(U, table, POLY_RING) == U.body.eval(assignment, POLY_RING)
 
 
-class _IntOps(Ring):
-    """Z (k = 0) or Z/k through the five required ring operations alone;
-    int_modulus does not recognise it, so eval_universal takes its ring-op
-    loop.  Counts its additions."""
-
-    def __init__(self, k: int = 0):
-        self.k, self.adds = k, 0
-
-    def _reduce(self, a):
-        return a % self.k if self.k else a
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return self._reduce(1)
-
-    def add(self, a, b):
-        self.adds += 1
-        return self._reduce(a + b)
-
-    def mul(self, a, b):
-        return self._reduce(a * b)
-
-    def neg(self, a):
-        return self._reduce(-a)
-
-
 _NATIVE_RINGS = (Z, ModularRing(2), ModularRing(4), ModularRing(6), PrimeField(101))
 
 
@@ -553,7 +525,7 @@ def test_native_eval_matches_the_ring_ops_and_the_body(ring, n, m, data):
     k = int_modulus(ring)
     entry = st.integers(-(2**70), 2**70) if k == 0 else st.integers(0, k - 1)
     rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
-    A, ops = Matrix(ring, rows), _IntOps(k)
+    A, ops = Matrix(ring, rows), IntOps(k)
     table, ops_table, assignment = A.principal_minors(), Matrix(ops, rows).principal_minors(), minor_assignment(A)
     for i in range(1, n + 1):
         U = synth_diag(n, i, m)
@@ -585,7 +557,7 @@ class TestEvalByType:
         # P[8,i,1] = p{i} reads one of the 255 nonempty subsets
         rng = random.Random(8)
         A = Matrix.from_ints(Z, [[rng.randint(-9, 9) for _ in range(8)] for _ in range(8)])
-        ring = _IntOps()
+        ring = IntOps()
         ops_table = Matrix(ring, A.rows).principal_minors()
         for i in range(1, 9):
             ring.adds = 0
