@@ -40,8 +40,9 @@ ring's operations otherwise.  body, the expanded polynomial, is
 built only when it is read; nothing in the package reads it, and the
 tests use Polynomial.eval on it as the oracle of eval_universal.
 The certificates need the coefficients of 1/d(t), polynomials in the
-E_k alone, expanded the same way with all size-k subsets as the units of
-E_k and printed by Polynomial.__str__.
+E_k alone, typed with all size-k subsets as the units of E_k.  A
+certificate keeps these types per order, to_json and eval_certificate
+print and evaluate them as above, and from_json re-synthesizes.
 """
 
 from __future__ import annotations
@@ -97,42 +98,49 @@ class UniversalPolynomial(Record):
 class OffDiagCertificate(Record):
     """Finite sum of (coefficient in p{S}) * (quasiprincipal symbol)
     pairs witnessing that (A^m)_{i,j} lies in the module generated by
-    products of principal minors and (i,j)-quasiprincipal minors."""
+    products of principal minors and (i,j)-quasiprincipal minors.  A
+    term (sign, r, (I, J)) gives q{I|J} the coefficient sign * [t^r] 1/d(t),
+    whose types (exponent vectors over E_1..E_n) are ``types[r]``."""
 
     _fields = ("n", "i", "j", "m", "terms")
 
-    def __init__(self, n: int, i: int, j: int, m: int, terms: tuple):
-        self._init(n, i, j, m, terms)  # terms: (Polynomial, (Subset I, Subset J)) pairs
+    def __init__(self, n: int, i: int, j: int, m: int, terms: tuple, types: dict):
+        self._init(n, i, j, m, terms)
+        # (n, i, j, m) determines the types, so they take no part in == or hash
+        object.__setattr__(self, "types", types)
 
     def to_json(self) -> str:
-        texts: dict = {}  # id of a coefficient -> its text; terms share them
-        for coeff, _ in self.terms:
-            if id(coeff) not in texts:
-                texts[id(coeff)] = str(coeff)
+        """The certificate as JSON, each signed coefficient printed once
+        from its types, as Polynomial.__str__ prints it."""
+        groups = _units_by_size(self.n, bool)
+        texts = {
+            (sign, r): _print_types({t: sign * g for t, g in self.types[r].items()}, groups, self.n, r)
+            for sign, r in {term[:2] for term in self.terms}
+        }
         payload = {
             "n": self.n,
             "i": self.i,
             "j": self.j,
             "m": self.m,
             "terms": [
-                {"coeff": texts[id(coeff)], "I": list(I.members()), "J": list(J.members())}
-                for coeff, (I, J) in self.terms
+                {"coeff": texts[sign, r], "I": list(I.members()), "J": list(J.members())}
+                for sign, r, (I, J) in self.terms
             ],
         }
         return json.dumps(payload, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "OffDiagCertificate":
+        """The certificate for the (n, i, j, m) of ``text``, re-synthesized;
+        ValueError unless ``text`` decodes to what its to_json() does."""
         data = json.loads(text)
-        n = data["n"]
-        terms = tuple(
-            (
-                Polynomial.parse(t["coeff"]),
-                (Subset.of(n, t["I"]), Subset.of(n, t["J"])),
-            )
-            for t in data["terms"]
-        )
-        return cls(n, data["i"], data["j"], data["m"], terms)
+        try:
+            cert = synth_offdiag(*(data[key] for key in ("n", "i", "j", "m")))
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"not a certificate: {exc!r}") from exc
+        if json.loads(cert.to_json()) != data:
+            raise ValueError(f"not the certificate for (n={cert.n},i={cert.i},j={cert.j},m={cert.m})")
+        return cert
 
 
 def generic_matrix(n: int) -> Matrix:
@@ -389,21 +397,23 @@ def synth_diag(n: int, i: int, m: int) -> UniversalPolynomial:
 
 
 def eval_universal(U: UniversalPolynomial, table, ring: Ring):
-    """Substitute a matrix's principal minors for the p{S} symbols.
-
-    Evaluated from the types, with no expanded body: the sum over types
-    of G * prod over groups of (the group's sum of minors)^count.  A
-    group's sum is formed only if some type puts a nonzero count on it,
-    and its powers are built once per call.  Over Z, Z/k and F_p
-    (int_modulus) they are native ints, each power reduced mod k (not at
-    all over Z), G is multiplied in as an int and the sum is reduced once
-    at the end; every other ring runs the same loop through its own
-    operations.  The table must be over ``ring``."""
+    """Substitute a matrix's principal minors for the p{S} symbols, from
+    the types, with no expanded body.  The table must be over ``ring``."""
     if table.n != U.n:
         raise ValueError(f"minor table for n={table.n}, polynomial for n={U.n}")
     if table.ring != ring:
         raise ValueError(f"minor table over {table.ring!r}, evaluation over {ring!r}")
-    values, groups = table.values, _diag_groups(U.n, U.i)
+    return _eval_types(U.types, _diag_groups(U.n, U.i), table.values, ring)
+
+
+def _eval_types(types: dict, groups: list, values, ring: Ring):
+    """The sum over types of G * prod over groups of (the group's sum of
+    minors)^count, over ``ring``, with values the minors by subset mask.
+    A group's sum is formed only if some type puts a nonzero count on it,
+    and its powers are built once per call.  Over Z, Z/k and F_p
+    (int_modulus) they are native ints, each power reduced mod k (not at
+    all over Z), G is multiplied in as an int and the sum is reduced once
+    at the end; every other ring runs the same loop through its own ops."""
     powers = [None] * len(groups)  # group -> [1, s, s^2, ...] once needed
     # compress(used, counts) visits only the groups with a nonzero count;
     # most counts are 0
@@ -411,7 +421,7 @@ def eval_universal(U: UniversalPolynomial, table, ring: Ring):
     modulus = int_modulus(ring)
     if modulus is not None:
         total = 0
-        for counts, g in U.types.items():
+        for counts, g in types.items():
             for k in compress(used, counts):
                 c, power = counts[k], powers[k]
                 if power is None:
@@ -423,7 +433,7 @@ def eval_universal(U: UniversalPolynomial, table, ring: Ring):
         return ring.from_int(total)
     add, mul, from_int = ring.add, ring.mul, ring.from_int
     total = ring.zero()
-    for counts, g in U.types.items():
+    for counts, g in types.items():
         val = from_int(g)
         for k in compress(used, counts):
             c, power = counts[k], powers[k]
@@ -438,12 +448,6 @@ def eval_universal(U: UniversalPolynomial, table, ring: Ring):
             val = mul(val, power[c])
         total = add(total, val)
     return total
-
-
-def minor_assignment(A: Matrix) -> dict:
-    """p{S} -> principal minor of A, for evaluating p-polynomials."""
-    values = A.principal_minors().values
-    return {name: values[s.mask] for s, name in _p_names(A.nrows).items()}
 
 
 def verify_symbolic(n: int, i: int, m: int) -> bool:
@@ -504,25 +508,20 @@ def synth_offdiag(n: int, i: int, j: int, m: int) -> OffDiagCertificate:
     groups = _units_by_size(n, bool)
     count = sum(_term_count(types[m - k], groups) for k, *_ in quasi)
     _require_terms(count, f"certificate for (n={n},i={i},j={j},m={m})")
-    # one object per signed coefficient, which to_json prints once
-    coeffs = {(r, 1): _expand(t, groups, n) for r, t in types.items()}
-    for k, sign, *_ in quasi:
-        if (m - k, sign) not in coeffs:
-            coeffs[m - k, sign] = -coeffs[m - k, 1]
-    terms = [(coeffs[m - k, sign], (I, J)) for k, sign, I, J in quasi]
-    terms.sort(key=lambda t: (len(t[1][0]), t[1][0].members(), t[1][1].members()))
-    return OffDiagCertificate(n, i, j, m, tuple(terms))
+    terms = [(sign, m - k, (I, J)) for k, sign, I, J in quasi]
+    terms.sort(key=lambda t: (len(t[2][0]), t[2][0].members(), t[2][1].members()))
+    return OffDiagCertificate(n, i, j, m, tuple(terms), types)
 
 
 def eval_certificate(cert: OffDiagCertificate, A: Matrix):
-    """Evaluate a certificate on a concrete matrix; equals (A^m)_{i,j}."""
+    """Evaluate a certificate on a concrete matrix; equals (A^m)_{i,j}.
+    Each order's coefficient is evaluated once, from its types."""
     if A.nrows != cert.n or A.ncols != cert.n:
         raise ValueError(f"certificate for n={cert.n}, matrix is {A.nrows}x{A.ncols}")
-    ring = A.ring
-    assignment = minor_assignment(A)
+    ring, values, groups = A.ring, A.principal_minors().values, _units_by_size(cert.n, bool)
+    coeffs = {r: _eval_types(types, groups, values, ring) for r, types in cert.types.items()}
     total = ring.zero()
-    for coeff, (I, J) in cert.terms:
-        c = coeff.eval(assignment, ring)
-        q = quasiprincipal_minor(A, I, J, cert.i, cert.j)
-        total = ring.add(total, ring.mul(c, q))
+    for sign, r, (I, J) in cert.terms:
+        term = ring.mul(coeffs[r], quasiprincipal_minor(A, I, J, cert.i, cert.j))
+        total = ring.add(total, term if sign > 0 else ring.neg(term))
     return total

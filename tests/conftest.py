@@ -171,6 +171,16 @@ def str_oracle(f) -> str:
     return "".join(parts)
 
 
+def minor_assignment(A) -> dict:
+    """p{S} -> principal minor of A, for evaluating p-polynomials with
+    Polynomial.eval."""
+    from minorcalc.matrix import all_subsets
+    from minorcalc.poly import pvar
+
+    values = A.principal_minors().values
+    return {pvar(s.members()): values[s.mask] for s in all_subsets(A.nrows) if len(s) > 0}
+
+
 def _signed_minor_sums(subsets) -> list:
     """Series coefficients c_k = (-1)^k * sum of p{P} over the given
     subsets P with |P| = k; the empty subset's minor is the constant 1."""

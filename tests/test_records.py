@@ -15,7 +15,7 @@ from minorcalc.rings import (
     RationalField,
 )
 from minorcalc.scan import ScanReport, Violation, run_scan
-from minorcalc.universal import OffDiagCertificate, UniversalPolynomial, synth_diag
+from minorcalc.universal import OffDiagCertificate, UniversalPolynomial, synth_diag, synth_offdiag
 
 
 def report(elapsed=0.0, candidates=3):
@@ -44,7 +44,7 @@ def test_rings_compare_by_class_and_fields():
         lambda: Subset(4, 0b1010),
         lambda: Violation(((1, 1), (0, 1)), 2, (1,), 3),
         lambda: UniversalPolynomial(3, 1, 2, {}),
-        lambda: OffDiagCertificate(3, 1, 2, 2, ()),
+        lambda: OffDiagCertificate(3, 1, 2, 2, (), {}),
         lambda: CDResult(True, 4, 5),
         counterexample_check,
     ],
@@ -117,7 +117,7 @@ def test_subset_checks_its_fields():
         (Subset(3, 1), "mask"),
         (Violation(((1,),), 2, (1,), 0), "power"),
         (UniversalPolynomial(3, 1, 2, {}), "types"),
-        (OffDiagCertificate(3, 1, 2, 2, ()), "terms"),
+        (OffDiagCertificate(3, 1, 2, 2, (), {}), "terms"),
         (CounterexampleResult(True, 0, False), "square_minor"),
     ],
 )
@@ -151,3 +151,11 @@ def test_universal_polynomial_equality_ignores_types_and_caches_body():
     assert isinstance(body, Polynomial)
     assert fresh.body is body and vars(fresh)["body"] is body
     assert fresh.serialize() == f"{fresh.header()}\n{body}\n"
+
+
+def test_certificate_equality_ignores_types():
+    assert OffDiagCertificate(3, 1, 2, 2, (), {0: {"a": 1}}) == OffDiagCertificate(3, 1, 2, 2, (), {})
+    C = synth_offdiag(3, 1, 2, 2)
+    same = OffDiagCertificate(C.n, C.i, C.j, C.m, C.terms, {})
+    assert C == same and hash(C) == hash(same)
+    assert repr(same) == f"OffDiagCertificate(n=3, i=1, j=2, m=2, terms={C.terms!r})"

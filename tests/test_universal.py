@@ -1,11 +1,13 @@
 import hashlib
+import json
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import IntOps, diag_oracle, offdiag_oracle
-from minorcalc.matrix import Matrix, Subset, all_subsets, diag_reindex
+from conftest import IntOps, diag_oracle, minor_assignment, offdiag_oracle
+from minorcalc.matrix import Matrix, Subset, all_subsets, diag_reindex, quasiprincipal_minor
 from minorcalc.poly import POLY_RING, Polynomial, pvar, qvar, var_key
 from minorcalc.rings import FootnoteAlgebra, IntegerRing, ModularRing, PrimeField, RationalField, int_modulus
 from minorcalc import suites, universal
@@ -15,7 +17,6 @@ from minorcalc.universal import (
     eval_certificate,
     eval_universal,
     generic_matrix,
-    minor_assignment,
     offdiag_series_coeffs,
     synth_diag,
     synth_offdiag,
@@ -27,6 +28,18 @@ Z = IntegerRing()
 
 def P(name):
     return Polynomial.variable(name)
+
+
+def coeff_texts(cert) -> list:
+    """The printed coefficient of each term of a certificate, in order."""
+    return [t["coeff"] for t in json.loads(cert.to_json())["terms"]]
+
+
+def coeffs(cert) -> list:
+    """The coefficient of each term of a certificate, expanded from the
+    types of its order and signed."""
+    groups = universal._units_by_size(cert.n, bool)
+    return [sign * universal._expand(cert.types[r], groups, cert.n) for sign, r, _ in cert.terms]
 
 
 class TestGenericMatrix:
@@ -188,15 +201,17 @@ class TestSynthOffdiag:
     def test_power_one_is_entry(self):
         cert = synth_offdiag(2, 1, 2, 1)
         assert len(cert.terms) == 1
-        coeff, (I, J) = cert.terms[0]
-        assert coeff == 1
+        sign, r, (I, J) = cert.terms[0]
+        assert (sign, r) == (1, 0) and coeffs(cert) == [1]
+        assert coeff_texts(cert) == ["1"] == [str(c) for c, _ in offdiag_oracle(2, 1, 2, 1)]
         assert (I.members(), J.members()) == ((1,), (2,))
 
     def test_power_two_n2(self):
         cert = synth_offdiag(2, 1, 2, 2)
         assert len(cert.terms) == 1
-        coeff, (I, J) = cert.terms[0]
-        assert coeff == P("p{1}") + P("p{2}")
+        sign, r, (I, J) = cert.terms[0]
+        assert (sign, r) == (1, 1) and coeffs(cert) == [P("p{1}") + P("p{2}")]
+        assert coeff_texts(cert) == ["p{1} + p{2}"] == [str(c) for c, _ in offdiag_oracle(2, 1, 2, 2)]
         assert (I.members(), J.members()) == ((1,), (2,))
 
     def test_power_zero_empty(self):
@@ -217,7 +232,7 @@ class TestSynthOffdiag:
                         continue
                     for m in range(1, 4):
                         cert = synth_offdiag(n, i, j, m)
-                        for _, (I, J) in cert.terms:
+                        for *_, (I, J) in cert.terms:
                             assert i in I and j in J
                             assert len(I) == len(J)
                             assert J.mask == I.without(i).adding(j).mask
@@ -338,10 +353,10 @@ class TestSeriesInverseOracle:
                         continue
                     a_off = TruncatedSeries(POLY_RING, m, offdiag_series_coeffs(n, i, j, m))
                     cert = synth_offdiag(n, i, j, m)
-                    names = [qvar(I.members(), J.members()) for _, (I, J) in cert.terms]
+                    names = [qvar(I.members(), J.members()) for *_, (I, J) in cert.terms]
                     assert names == sorted(names, key=var_key)
                     total = sum(
-                        (coeff * P(q) for (coeff, _), q in zip(cert.terms, names)),
+                        (coeff * P(q) for coeff, q in zip(coeffs(cert), names)),
                         Polynomial({}),
                     )
                     assert total == (d_inv * a_off).coefficient(m)
@@ -410,7 +425,10 @@ def test_synth_diag_matches_the_expanded_recurrence(args):
 @given(_offdiag_args)
 def test_synth_offdiag_matches_the_expanded_recurrence(args):
     n, (i, j), m = args
-    assert synth_offdiag.__wrapped__(n, i, j, m).terms == offdiag_oracle(n, i, j, m)
+    cert, want = synth_offdiag.__wrapped__(n, i, j, m), offdiag_oracle(n, i, j, m)
+    assert [pair for *_, pair in cert.terms] == [pair for _, pair in want]
+    assert coeffs(cert) == [coeff for coeff, _ in want]
+    assert coeff_texts(cert) == [str(coeff) for coeff, _ in want]
 
 
 class TestTermBound:
@@ -573,6 +591,21 @@ def test_n8_digest_is_pinned():
     )
 
 
+# recorded from the certificates whose coefficients were expanded and
+# printed by Polynomial.__str__
+_CERT_DIGESTS = {
+    (7, 1, 4, 7): "43fb04fa43cd3e46e50debc1b9799846489b515116d376459619597fe2c777db",
+    (7, 3, 2, 6): "f008933114dd9d97b8784babb140d00f4788dfff122aed8733923ddbe5ca6ae2",
+    (8, 1, 2, 8): "d007f148be5b3193cd260501e603e4894aa62057103523953b58cd430e7ae064",
+}
+
+
+@pytest.mark.parametrize("args", list(_CERT_DIGESTS))
+def test_n7_n8_certificate_digests_are_pinned(args):
+    text = synth_offdiag.__wrapped__(*args).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == _CERT_DIGESTS[args]
+
+
 class TestCertificateText:
     def test_json_roundtrip_n6(self):
         cert = synth_offdiag.__wrapped__(6, 2, 5, 6)
@@ -581,15 +614,85 @@ class TestCertificateText:
 
     def test_each_coefficient_is_printed_once(self, monkeypatch):
         cert = synth_offdiag.__wrapped__(5, 1, 3, 5)
-        shared = {id(coeff) for coeff, _ in cert.terms}
-        assert len(shared) == len({str(coeff) for coeff, _ in cert.terms}) < len(cert.terms)
+        want = [str(coeff) for coeff, _ in offdiag_oracle(5, 1, 3, 5)]
+        signed = {(r, sign) for sign, r, _ in cert.terms}
+        assert len(signed) == len(set(want)) < len(cert.terms)
         printed = []
-        to_str = Polynomial.__str__
-        monkeypatch.setattr(Polynomial, "__str__", lambda f: printed.append(f) or to_str(f))
-        cert.to_json()
-        assert len(printed) == len(shared)
+        print_types = universal._print_types
+        monkeypatch.setattr(universal, "_print_types", lambda *a: printed.append(a) or print_types(*a))
+        monkeypatch.setattr(Polynomial, "__str__", lambda f: pytest.fail("printed by Polynomial.__str__"))
+        assert coeff_texts(cert) == want
+        assert len(printed) == len(signed)
 
 
 def test_body_parse_roundtrip():
     body = synth_diag(6, 1, 6).body
     assert Polynomial.parse(str(body)) == body
+
+
+def _negated(text):
+    return str(-Polynomial.parse(text))
+
+
+def _swapped(term):
+    term["I"], term["J"] = term["J"], term["I"]
+
+
+_TAMPERINGS = {
+    "changed coefficient": lambda d: d["terms"][1].update(coeff=d["terms"][1]["coeff"].replace("p{1}", "p{4}", 1)),
+    "flipped sign": lambda d: d["terms"][2].update(coeff=_negated(d["terms"][2]["coeff"])),
+    "swapped I/J": lambda d: _swapped(d["terms"][0]),
+    "missing terms": lambda d: d.pop("terms"),
+}
+
+
+@pytest.mark.parametrize("tamper", list(_TAMPERINGS))
+def test_from_json_refuses_tampered_text(tamper):
+    cert = synth_offdiag(4, 1, 3, 4)
+    data = json.loads(cert.to_json())
+    assert OffDiagCertificate.from_json(json.dumps(data)) == cert
+    _TAMPERINGS[tamper](data)
+    assert data != json.loads(cert.to_json())
+    with pytest.raises(ValueError):
+        OffDiagCertificate.from_json(json.dumps(data))
+
+
+def test_from_json_refuses_what_is_not_a_certificate():
+    for text in ("[]", '{"n": 3, "i": 1, "j": 2}', '{"n": "3", "i": 1, "j": 2, "m": 2}', "{"):
+        with pytest.raises(ValueError):
+            OffDiagCertificate.from_json(text)
+
+
+_offdiag_oracle = lru_cache(maxsize=None)(offdiag_oracle)
+
+
+def _entries(ring):
+    """Matrix entries over ring: ints up to 2^70 over Z, residues over Z/k
+    and F_p, coordinate 6-tuples over the quotient algebra."""
+    if isinstance(ring, FootnoteAlgebra):
+        return st.tuples(*[_entries(ring.base)] * 6)
+    k = int_modulus(ring)
+    return st.integers(-(2**70), 2**70) if k == 0 else st.integers(0, k - 1)
+
+
+_CERT_RINGS = (Z, ModularRing(4), PrimeField(101), FootnoteAlgebra(), FootnoteAlgebra(PrimeField(3)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(_CERT_RINGS), st.integers(2, 5), st.integers(0, 6), st.data())
+def test_eval_certificate_matches_the_power_and_the_expanded_oracle(ring, n, m, data):
+    # every (i, j): the entry of A^m, and Polynomial.eval of the oracle's
+    # expanded coefficients times the quasiprincipal minors
+    entry = _entries(ring)
+    A = Matrix(ring, data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)))
+    power, assignment = A.pow(m), minor_assignment(A)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i == j:
+                continue
+            want = ring.zero()
+            for coeff, (I, J) in _offdiag_oracle(n, i, j, m):
+                q = quasiprincipal_minor(A, I, J, i, j)
+                want = ring.add(want, ring.mul(coeff.eval(assignment, ring), q))
+            got = eval_certificate(synth_offdiag(n, i, j, m), A)
+            assert ring.eq(got, power.entry(i, j)) and ring.eq(got, want)
