@@ -31,7 +31,7 @@ from typing import Iterable, Iterator
 
 from .laplace import _laplace_program, _minor_kernel, _product_kernel
 from .records import Record
-from .rings import FootnoteAlgebra, Ring, int_modulus
+from .rings import Ring, algebra_int_modulus, int_modulus
 
 # The largest n accepted by the commands and suites that enumerate all
 # 2^n principal minors or subsets of [n].
@@ -317,8 +317,9 @@ def minor_function(ring: Ring, n: int, targets: tuple):
         entries, where = _laplace_program(n, targets)
     else:
         entries, where = _laplace_program.__wrapped__(n, targets)
-    if isinstance(ring, FootnoteAlgebra) and ring._k is not None:
-        return _algebra_table(entries, where, ring._k)
+    coord_k = algebra_int_modulus(ring)
+    if coord_k is not None:
+        return _algebra_table(entries, where, coord_k)
     zero, one, add, sub, mul = ring.zero(), ring.one(), ring.add, ring.sub, ring.mul
 
     def table(rows):
@@ -346,8 +347,9 @@ def product_function(ring: Ring, p: int, q: int, s: int):
     k = int_modulus(ring)
     if k is not None and max(p, q, s) <= MAX_SIZE:
         return _product_kernel(p, q, s, k != 0)(k)
-    if isinstance(ring, FootnoteAlgebra) and ring._k is not None:
-        return _algebra_product(ring._k)
+    coord_k = algebra_int_modulus(ring)
+    if coord_k is not None:
+        return _algebra_product(coord_k)
     zero, add, mul = ring.zero(), ring.add, ring.mul
 
     def product(a, b):

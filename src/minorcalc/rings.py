@@ -7,9 +7,10 @@ Everything is exact: no floating point anywhere.
 Over Z, Z/k and F_p the elements are plain ints, and ``int_modulus``
 says so: k for Z/k and F_k, 0 for Z, None otherwise.  The matrix kernel
 and the quotient algebra both use it to pick native int arithmetic,
-reduced mod k once per result, over the ring's own operations; over the
-quotient algebra, ``matrix`` computes minor tables and products on the
-coordinates as well.
+reduced mod k once per result, over the ring's own operations.
+``algebra_int_modulus`` names the same rule for the quotient algebra: over
+an int base, ``matrix`` computes minor tables and products, and
+``universal`` evaluates P[n,i,m], on the six int coordinates.
 ``PrimeField`` checks its modulus with deterministic Miller-Rabin, which
 is exact below ``MR_EXACT_BOUND`` and refuses larger moduli.
 """
@@ -251,6 +252,13 @@ def int_modulus(ring: Ring):
     return 0 if isinstance(ring, IntegerRing) else None
 
 
+def algebra_int_modulus(ring: Ring):
+    """int_modulus of the base when ``ring`` is the quotient algebra over
+    Z, Z/k or F_p, whose coordinates are then plain ints; None otherwise
+    (another ring, or the algebra over Q or any other base)."""
+    return ring._k if isinstance(ring, FootnoteAlgebra) else None
+
+
 # Basis of the counterexample algebra, in fixed coordinate order.
 FOOTNOTE_BASIS = ("1", "x", "y", "x^2", "y^2", "x^3")
 
@@ -273,7 +281,9 @@ class FootnoteAlgebra(Ring, Record):
     other bases (Q, ...) compute the same formulas with their own ring
     operations.  Over an int base, ``matrix`` computes minor tables and
     products with these formulas written out on the coordinates, one
-    reduction per minor or product entry, without calling ``mul``.
+    reduction per minor or product entry, without calling ``mul``;
+    ``universal`` sums minors and G times a product on the coordinates
+    and calls ``mul`` only for powers and type products.
     """
 
     _fields = ("base",)

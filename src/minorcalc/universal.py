@@ -33,24 +33,28 @@ print-key part, a text such as "p{1,3}^2*p{2,3}" and a multinomial) for
 each pair (u_k, v_k) that occurs, one fragment per size for each term,
 and one int sort of the keys, which gives the text of str(body).
 eval_universal works from them too: P[n,i,m] is the sum over types of
-G * prod_k U_k^u_k F_k^v_k, so it sums the minors of each group in use
-and multiplies powers of those sums, in native ints over Z, Z/k and F_p
-(reduced mod k, once per power and once at the end) and through the
-ring's operations otherwise.  body, the expanded polynomial, is
-built only when it is read; nothing in the package reads it, and the
-tests use Polynomial.eval on it as the oracle of eval_universal.
+G * prod_k U_k^u_k F_k^v_k.  At its first evaluation a polynomial lays
+its types out as a plan: the groups in use with their largest counts,
+the G values, and per type the slots of its factors in one flat list of
+powers of the group sums.  One evaluator runs the plan in native ints
+over Z, Z/k and F_p, on the six int coordinates over the quotient
+algebra on such a base, and through the ring's operations otherwise.
+body, the expanded polynomial, is built only when it is read; nothing
+in the package reads it, and the tests use Polynomial.eval on it as the
+oracle of eval_universal.
 The certificates need the coefficients of 1/d(t), polynomials in the
 E_k alone, typed with all size-k subsets as the units of E_k.  A
-certificate keeps these types per order, to_json and eval_certificate
-print and evaluate them as above, and from_json re-synthesizes.
+certificate keeps these types, and a plan, per order; to_json and
+eval_certificate print and evaluate them as above, and from_json
+re-synthesizes.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
-from functools import cached_property, lru_cache
-from itertools import compress, product
+from functools import cached_property, lru_cache, reduce
+from itertools import product
 from math import comb
 
 from .matrix import (
@@ -62,7 +66,7 @@ from .matrix import (
 )
 from .poly import POLY_RING, Polynomial, pvar, qvar, xvar
 from .records import Record
-from .rings import Ring, int_modulus
+from .rings import Ring, algebra_int_modulus, int_modulus
 
 # the most terms a P[n,i,m] body or a certificate may have
 MAX_TERMS = 1 << 20
@@ -85,6 +89,12 @@ class UniversalPolynomial(Record):
         """The expanded polynomial, built at its first read.  Printing and
         evaluation work from the types and never read it."""
         return _expand(self.types, _diag_groups(self.n, self.i), self.n)
+
+    @cached_property
+    def plan(self) -> tuple:
+        """The types laid out for evaluation (see _plan), built at the
+        first evaluation; synthesis and printing never build it."""
+        return _plan(self.types, _diag_groups(self.n, self.i))
 
     def header(self) -> str:
         return f"P[n={self.n},i={self.i},m={self.m}]"
@@ -128,6 +138,12 @@ class OffDiagCertificate(Record):
             ],
         }
         return json.dumps(payload, indent=2)
+
+    @cached_property
+    def plans(self) -> dict:
+        """Order r -> the plan of types[r], built at the first evaluation."""
+        groups = _units_by_size(self.n, bool)
+        return {r: _plan(types, groups) for r, types in self.types.items()}
 
     @classmethod
     def from_json(cls, text: str) -> "OffDiagCertificate":
@@ -398,56 +414,85 @@ def synth_diag(n: int, i: int, m: int) -> UniversalPolynomial:
 
 def eval_universal(U: UniversalPolynomial, table, ring: Ring):
     """Substitute a matrix's principal minors for the p{S} symbols, from
-    the types, with no expanded body.  The table must be over ``ring``."""
+    the plan of U's types (built at the first evaluation), with no
+    expanded body.  The table must be over ``ring``."""
     if table.n != U.n:
         raise ValueError(f"minor table for n={table.n}, polynomial for n={U.n}")
     if table.ring != ring:
         raise ValueError(f"minor table over {table.ring!r}, evaluation over {ring!r}")
-    return _eval_types(U.types, _diag_groups(U.n, U.i), table.values, ring)
+    return _eval_plan(U.plan, table.values, ring)
 
 
-def _eval_types(types: dict, groups: list, values, ring: Ring):
+def _plan(types: dict, groups: list) -> tuple:
+    """(used, gs, slots): the types laid out for _eval_plan.  used holds
+    (masks, top) for each group that some type puts a nonzero count on,
+    in group order, with top its largest count; the powers s^1..s^top of
+    the sums s of those groups, in that order, make one flat list.  gs
+    holds the G of each type, and slots the indices into that list of its
+    factors: offset[group] + count - 1 for each nonzero count."""
+    offsets, used, at = {}, [], 0
+    for g, top in enumerate(map(max, zip(*types))):
+        if top:
+            offsets[g] = at - 1
+            used.append((tuple(groups[g]), top))
+            at += top
+    slots = tuple([tuple([offsets[g] + c for g, c in enumerate(counts) if c]) for counts in types])
+    return tuple(used), tuple(types.values()), slots
+
+
+def _eval_plan(plan: tuple, values, ring: Ring):
     """The sum over types of G * prod over groups of (the group's sum of
-    minors)^count, over ``ring``, with values the minors by subset mask.
-    A group's sum is formed only if some type puts a nonzero count on it,
-    and its powers are built once per call.  Over Z, Z/k and F_p
-    (int_modulus) they are native ints, each power reduced mod k (not at
-    all over Z), G is multiplied in as an int and the sum is reduced once
-    at the end; every other ring runs the same loop through its own ops."""
-    powers = [None] * len(groups)  # group -> [1, s, s^2, ...] once needed
-    # compress(used, counts) visits only the groups with a nonzero count;
-    # most counts are 0
-    used = range(len(groups))
-    modulus = int_modulus(ring)
-    if modulus is not None:
+    minors)^count, over ``ring``, from a _plan, with values the minors by
+    subset mask.  Over Z, Z/k and F_p (int_modulus) all is native ints,
+    each sum and power reduced mod k (not at all over Z) and the total
+    once by from_int.  Over the quotient algebra on such a base
+    (algebra_int_modulus) sums are reduced per coordinate, powers and type
+    products go through ``ring.mul``, and each G times its product adds
+    into six int accumulators, reduced once.  Other rings use their ops."""
+    used, gs, slots = plan
+    k, coord_k = int_modulus(ring), algebra_int_modulus(ring)
+    rows = [[values[mask] for mask in masks] for masks, _ in used]
+    if k is not None:
+        sums = [sum(row) % k if k else sum(row) for row in rows]
+        mul = (lambda a, b: a * b % k) if k else int.__mul__
+    elif coord_k is not None:
+        sums = [tuple([sum(c) % coord_k if coord_k else sum(c) for c in zip(*row)]) for row in rows]
+        mul = ring.mul
+    else:
+        sums, mul = [reduce(ring.add, row) for row in rows], ring.mul
+    powers: list = []
+    for s, (_, top) in zip(sums, used):
+        powers.append(s)
+        for _ in range(1, top):
+            powers.append(mul(powers[-1], s))
+    if k is not None:
         total = 0
-        for counts, g in types.items():
-            for k in compress(used, counts):
-                c, power = counts[k], powers[k]
-                if power is None:
-                    power = powers[k] = [1, sum([values[mask] for mask in groups[k]])]
-                while len(power) <= c:
-                    power.append(power[-1] * power[1] % modulus if modulus else power[-1] * power[1])
-                g *= power[c]
+        for g, slot in zip(gs, slots):
+            for x in slot:
+                g *= powers[x]
             total += g
         return ring.from_int(total)
-    add, mul, from_int = ring.add, ring.mul, ring.from_int
-    total = ring.zero()
-    for counts, g in types.items():
-        val = from_int(g)
-        for k in compress(used, counts):
-            c, power = counts[k], powers[k]
-            if power is None:
-                first, *rest = groups[k]
-                s = values[first]
-                for mask in rest:
-                    s = add(s, values[mask])
-                power = powers[k] = [ring.one(), s]
-            while len(power) <= c:
-                power.append(mul(power[-1], power[1]))
-            val = mul(val, power[c])
-        total = add(total, val)
-    return total
+    factor = powers.__getitem__
+    if coord_k is None:
+        add, from_int, total = ring.add, ring.from_int, ring.zero()
+        for g, slot in zip(gs, slots):
+            total = add(total, reduce(mul, map(factor, slot), from_int(g)))
+        return total
+    c0 = c1 = c2 = c3 = c4 = c5 = 0
+    for g, slot in zip(gs, slots):
+        if not slot:  # the constant type, G times the one
+            c0 += g
+            continue
+        a0, a1, a2, a3, a4, a5 = reduce(mul, map(factor, slot))
+        c0 += g * a0
+        c1 += g * a1
+        c2 += g * a2
+        c3 += g * a3
+        c4 += g * a4
+        c5 += g * a5
+    if coord_k:
+        return (c0 % coord_k, c1 % coord_k, c2 % coord_k, c3 % coord_k, c4 % coord_k, c5 % coord_k)
+    return (c0, c1, c2, c3, c4, c5)
 
 
 def verify_symbolic(n: int, i: int, m: int) -> bool:
@@ -518,8 +563,8 @@ def eval_certificate(cert: OffDiagCertificate, A: Matrix):
     Each order's coefficient is evaluated once, from its types."""
     if A.nrows != cert.n or A.ncols != cert.n:
         raise ValueError(f"certificate for n={cert.n}, matrix is {A.nrows}x{A.ncols}")
-    ring, values, groups = A.ring, A.principal_minors().values, _units_by_size(cert.n, bool)
-    coeffs = {r: _eval_types(types, groups, values, ring) for r, types in cert.types.items()}
+    ring, values = A.ring, A.principal_minors().values
+    coeffs = {r: _eval_plan(plan, values, ring) for r, plan in cert.plans.items()}
     total = ring.zero()
     for sign, r, (I, J) in cert.terms:
         term = ring.mul(coeffs[r], quasiprincipal_minor(A, I, J, cert.i, cert.j))

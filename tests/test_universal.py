@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -509,13 +510,37 @@ class TestDirectPrint:
         assert hash(synth_diag.__wrapped__(3, 2, 4)) == hash(synth_diag(3, 2, 4))
 
 
-_EVAL_RINGS = (Z, ModularRing(4), PrimeField(101), FootnoteAlgebra(), FootnoteAlgebra(PrimeField(3)))
+def _entries(ring):
+    """Matrix entries over ring: ints up to 2^70 over Z, residues over Z/k
+    and F_p, coordinate 6-tuples over the quotient algebra."""
+    if isinstance(ring, FootnoteAlgebra):
+        return st.tuples(*[_entries(ring.base)] * 6)
+    k = int_modulus(ring)
+    return st.integers(-(2**70), 2**70) if k == 0 else st.integers(0, k - 1)
+
+
+def _matrices(ring, n):
+    """n x n row lists of _entries(ring)."""
+    return st.lists(st.lists(_entries(ring), min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+# the quotient algebra on F_2, F_3, the composite Z/4, and Z, where the
+# coordinates reach 2^70 and are never reduced
+_EVAL_RINGS = (
+    Z,
+    ModularRing(4),
+    PrimeField(101),
+    FootnoteAlgebra(),
+    FootnoteAlgebra(PrimeField(3)),
+    FootnoteAlgebra(ModularRing(4)),
+    FootnoteAlgebra(Z),
+)
 
 
 @settings(deadline=None, max_examples=60)
-@given(st.sampled_from(_EVAL_RINGS), st.integers(1, 5), st.integers(0, 6), st.integers(0, 2**32 - 1))
-def test_eval_by_type_matches_the_body(ring, n, m, seed):
-    A = suites.random_matrix(ring, n, random.Random(seed))
+@given(st.sampled_from(_EVAL_RINGS), st.integers(1, 5), st.integers(0, 6), st.data())
+def test_eval_by_type_matches_the_body(ring, n, m, data):
+    A = Matrix(ring, data.draw(_matrices(ring, n)))
     table, assignment = A.principal_minors(), minor_assignment(A)
     for i in range(1, n + 1):
         U = synth_diag(n, i, m)
@@ -550,6 +575,118 @@ def test_native_eval_matches_the_ring_ops_and_the_body(ring, n, m, data):
         native = eval_universal(U, table, ring)
         assert type(native) is int
         assert native == eval_universal(U, ops_table, ops) == U.body.eval(assignment, ring)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from((0, 2, 3, 4, 6)), st.integers(1, 5), st.integers(0, 6), st.data())
+def test_algebra_eval_matches_the_ring_ops_and_the_body(k, n, m, data):
+    # over the algebra on Z/k (Z if k is 0) three ways: the coordinate
+    # branch, the ring-op branch over a base that int_modulus does not
+    # recognise, and Polynomial.eval of the expanded body; m = 0 is the
+    # constant type, whose slot tuple is empty
+    ring, ops = FootnoteAlgebra(ModularRing(k) if k else Z), FootnoteAlgebra(IntOps(k))
+    rows = data.draw(_matrices(ring, n))
+    A = Matrix(ring, rows)
+    table, ops_table, assignment = A.principal_minors(), Matrix(ops, rows).principal_minors(), minor_assignment(A)
+    for i in range(1, n + 1):
+        U = synth_diag(n, i, m)
+        got = eval_universal(U, table, ring)
+        assert type(got) is tuple and len(got) == 6
+        assert all(type(c) is int and (k == 0 or 0 <= c < k) for c in got)
+        assert got == eval_universal(U, ops_table, ops) == U.body.eval(assignment, ring)
+
+
+class _CountingAlgebra(FootnoteAlgebra):
+    """The quotient algebra, counting calls of its operations by name."""
+
+    def __init__(self, base):
+        super().__init__(base)
+        object.__setattr__(self, "calls", Counter())
+
+    def add(self, a, b):
+        self.calls["add"] += 1
+        return super().add(a, b)
+
+    def mul(self, a, b):
+        self.calls["mul"] += 1
+        return super().mul(a, b)
+
+    def neg(self, a):
+        self.calls["neg"] += 1
+        return super().neg(a)
+
+    def from_int(self, k):
+        self.calls["from_int"] += 1
+        return super().from_int(k)
+
+
+class TestPlan:
+    def test_synthesis_and_printing_build_no_plan(self, monkeypatch):
+        monkeypatch.setattr(universal, "_plan", lambda *a: pytest.fail("plan built"))
+        U = synth_diag.__wrapped__(4, 2, 5)
+        U.serialize()
+        assert "plan" not in vars(U)
+        cert = synth_offdiag.__wrapped__(4, 1, 3, 4)
+        cert.to_json()
+        assert "plans" not in vars(cert)
+
+    def test_plan_is_built_once_at_the_first_evaluation(self, monkeypatch):
+        built = []
+        plan = universal._plan
+        monkeypatch.setattr(universal, "_plan", lambda *a: built.append(a) or plan(*a))
+        A = Matrix.from_ints(Z, [[2, -1, 0, 3], [1, 1, 4, -2], [0, 5, -3, 1], [7, 0, 2, 2]])
+        U, table = synth_diag.__wrapped__(4, 2, 5), A.principal_minors()
+        for _ in range(3):
+            assert eval_universal(U, table, Z) == A.pow(5).entry(2, 2)
+        assert len(built) == 1 and "plan" in vars(U)
+        cert = synth_offdiag.__wrapped__(4, 1, 3, 4)
+        for _ in range(3):
+            assert eval_certificate(cert, A) == A.pow(4).entry(1, 3)
+        assert len(built) == 1 + len(cert.types) and set(cert.plans) == set(cert.types)
+
+    def test_plan_takes_no_part_in_equality_hash_or_repr(self):
+        fresh, evaluated = synth_diag.__wrapped__(3, 2, 4), synth_diag.__wrapped__(3, 2, 4)
+        eval_universal(evaluated, Matrix.from_ints(Z, [[1, 2, 0], [3, 4, 1], [0, 1, 5]]).principal_minors(), Z)
+        assert "plan" in vars(evaluated) and "plan" not in vars(fresh)
+        assert evaluated == fresh and hash(evaluated) == hash(fresh)
+        assert repr(evaluated) == repr(fresh) == "UniversalPolynomial(n=3, i=2, m=4)"
+        fresh, evaluated = synth_offdiag.__wrapped__(3, 1, 2, 3), synth_offdiag.__wrapped__(3, 1, 2, 3)
+        eval_certificate(evaluated, Matrix.from_ints(Z, [[1, 2, 0], [3, 4, 1], [0, 1, 5]]))
+        assert "plans" in vars(evaluated) and "plans" not in vars(fresh)
+        assert evaluated == fresh and hash(evaluated) == hash(fresh) and repr(evaluated) == repr(fresh)
+
+    def test_slots_index_the_powers_of_the_groups_in_use(self):
+        # each type's slots name, in group order, s^count of each group it
+        # puts a nonzero count on
+        for n, i, m in ((1, 1, 0), (3, 2, 4), (5, 1, 6)):
+            U = synth_diag(n, i, m)
+            used, gs, slots = U.plan
+            groups = universal._diag_groups(n, i)
+            names = [(tuple(masks), c) for masks, top in used for c in range(1, top + 1)]
+            in_use = [g for g in range(len(groups)) if any(counts[g] for counts in U.types)]
+            assert used == tuple((tuple(groups[g]), max(counts[g] for counts in U.types)) for g in in_use)
+            assert gs == tuple(U.types.values())
+            for counts, slot in zip(U.types, slots):
+                want = [(tuple(groups[g]), c) for g, c in enumerate(counts) if c]
+                assert [names[x] for x in slot] == want
+        assert synth_diag(2, 1, 0).plan == ((), (1,), ((),))
+
+    @pytest.mark.parametrize("base", [PrimeField(2), ModularRing(4)])
+    def test_algebra_eval_calls_mul_only_for_powers_and_type_products(self, base):
+        ring, rng = _CountingAlgebra(base), random.Random(23)
+        for n in range(1, 6):
+            A = suites.random_matrix(ring, n, rng)
+            table, power = A.principal_minors(), A.pow(6)
+            for m in range(7):
+                for i in range(1, n + 1):
+                    U = synth_diag(n, i, m)
+                    ring.calls.clear()
+                    got = eval_universal(U, table, ring)
+                    used, _, slots = U.plan
+                    muls = sum(top - 1 for _, top in used) + sum(max(len(slot) - 1, 0) for slot in slots)
+                    assert ring.calls == Counter(mul=muls)
+                    if m == 6:
+                        assert got == power.entry(i, i)
 
 
 class TestEvalByType:
@@ -666,16 +803,7 @@ def test_from_json_refuses_what_is_not_a_certificate():
 _offdiag_oracle = lru_cache(maxsize=None)(offdiag_oracle)
 
 
-def _entries(ring):
-    """Matrix entries over ring: ints up to 2^70 over Z, residues over Z/k
-    and F_p, coordinate 6-tuples over the quotient algebra."""
-    if isinstance(ring, FootnoteAlgebra):
-        return st.tuples(*[_entries(ring.base)] * 6)
-    k = int_modulus(ring)
-    return st.integers(-(2**70), 2**70) if k == 0 else st.integers(0, k - 1)
-
-
-_CERT_RINGS = (Z, ModularRing(4), PrimeField(101), FootnoteAlgebra(), FootnoteAlgebra(PrimeField(3)))
+_CERT_RINGS = _EVAL_RINGS
 
 
 @settings(deadline=None, max_examples=60)
@@ -683,8 +811,7 @@ _CERT_RINGS = (Z, ModularRing(4), PrimeField(101), FootnoteAlgebra(), FootnoteAl
 def test_eval_certificate_matches_the_power_and_the_expanded_oracle(ring, n, m, data):
     # every (i, j): the entry of A^m, and Polynomial.eval of the oracle's
     # expanded coefficients times the quasiprincipal minors
-    entry = _entries(ring)
-    A = Matrix(ring, data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)))
+    A = Matrix(ring, data.draw(_matrices(ring, n)))
     power, assignment = A.pow(m), minor_assignment(A)
     for i in range(1, n + 1):
         for j in range(1, n + 1):
