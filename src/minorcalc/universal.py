@@ -39,6 +39,12 @@ the G values, and per type the slots of its factors in one flat list of
 powers of the group sums.  One evaluator runs the plan in native ints
 over Z, Z/k and F_p, on the six int coordinates over the quotient
 algebra on such a base, and through the ring's operations otherwise.
+Its loops run a plan's first evaluation over the int rings and its
+first over the algebra; later ones call a straight-line kernel compiled
+for the plan's shape, the plan without its masks.  Every i of one
+(n, m) has the same shape, so they share one kernel, compiled once per
+process.  Plans above MAX_KERNEL_TYPES types, and other rings, keep the
+loops.
 body, the expanded polynomial, is built only when it is read; nothing
 in the package reads it, and the tests use Polynomial.eval on it as the
 oracle of eval_universal.
@@ -57,6 +63,7 @@ from functools import cached_property, lru_cache, reduce
 from itertools import product
 from math import comb
 
+from .laplace import _compiled, _tuple
 from .matrix import (
     Matrix,
     Subset,
@@ -70,6 +77,10 @@ from .rings import Ring, algebra_int_modulus, int_modulus
 
 # the most terms a P[n,i,m] body or a certificate may have
 MAX_TERMS = 1 << 20
+# the most types a plan may have to be compiled into a kernel; every plan
+# of verify and the default suites has fewer, and far larger ones cost
+# more to compile than their loops take
+MAX_KERNEL_TYPES = 256
 
 
 class UniversalPolynomial(Record):
@@ -95,6 +106,11 @@ class UniversalPolynomial(Record):
         """The types laid out for evaluation (see _plan), built at the
         first evaluation; synthesis and printing never build it."""
         return _plan(self.types, _diag_groups(self.n, self.i))
+
+    @cached_property
+    def kernels(self) -> dict:
+        """The plan's compiled kernels by kind of ring (see _kernel_for)."""
+        return {}
 
     def header(self) -> str:
         return f"P[n={self.n},i={self.i},m={self.m}]"
@@ -144,6 +160,11 @@ class OffDiagCertificate(Record):
         """Order r -> the plan of types[r], built at the first evaluation."""
         groups = _units_by_size(self.n, bool)
         return {r: _plan(types, groups) for r, types in self.types.items()}
+
+    @cached_property
+    def kernels(self) -> dict:
+        """Order r -> the compiled kernels of its plan (see _kernel_for)."""
+        return {r: {} for r in self.types}
 
     @classmethod
     def from_json(cls, text: str) -> "OffDiagCertificate":
@@ -415,12 +436,16 @@ def synth_diag(n: int, i: int, m: int) -> UniversalPolynomial:
 def eval_universal(U: UniversalPolynomial, table, ring: Ring):
     """Substitute a matrix's principal minors for the p{S} symbols, from
     the plan of U's types (built at the first evaluation), with no
-    expanded body.  The table must be over ``ring``."""
+    expanded body.  The table must be over ``ring``.  Over Z, Z/k and
+    F_p, and over the quotient algebra on such a base, the plan's loops
+    run its first evaluation of that kind, and later ones call the
+    compiled kernel of its shape, which every i of one (n, m) shares; a
+    plan above MAX_KERNEL_TYPES types, or another ring, keeps the loops."""
     if table.n != U.n:
         raise ValueError(f"minor table for n={table.n}, polynomial for n={U.n}")
     if table.ring != ring:
         raise ValueError(f"minor table over {table.ring!r}, evaluation over {ring!r}")
-    return _eval_plan(U.plan, table.values, ring)
+    return _eval_plan(U.plan, table.values, ring, U.kernels)
 
 
 def _plan(types: dict, groups: list) -> tuple:
@@ -440,7 +465,77 @@ def _plan(types: dict, groups: list) -> tuple:
     return tuple(used), tuple(types.values()), slots
 
 
-def _eval_plan(plan: tuple, values, ring: Ring):
+def _kernel_for(plan: tuple, kernels: dict, algebra: bool):
+    """The compiled kernel of the plan's shape over the int rings or, if
+    ``algebra``, the quotient algebra, kept in ``kernels`` (the plan
+    owner's); None, so that the loops run, at the plan's first
+    evaluation of that kind and for plans above MAX_KERNEL_TYPES types."""
+    kernel = kernels.get(algebra)
+    if kernel is None:
+        if algebra in kernels and len(plan[1]) <= MAX_KERNEL_TYPES:
+            used, gs, slots = plan
+            kernel = _kernel((tuple([top for _, top in used]), gs, slots), algebra)
+        kernels[algebra] = kernel
+    return kernel
+
+
+@lru_cache(maxsize=None)
+def _kernel(shape: tuple, algebra: bool):
+    """A straight-line function for every plan of ``shape``, the plan
+    (used, gs, slots) with each group's masks dropped from used.  With s_x
+    the sum of the x-th group in use, ``kernel(s_0, .., s_r, k)`` makes the
+    powers in int arithmetic, reduced mod k if k, and returns the sum of
+    G times each type's product, unreduced.  For the quotient algebra,
+    ``kernel(s_0, .., s_r, mul, one)`` returns the tuple of the type
+    products, with one call of mul per power and per factor after a
+    type's first, as _eval_plan's loops make.  The source is built from
+    ints and indices only."""
+    tops, gs, slots = shape
+    sums = [f"s{x}" for x in range(len(tops))]
+    names, powers = [], []  # the flat list of powers; (name, lower power, sum)
+    for s, top in zip(sums, tops):
+        names.append(s)
+        for c in range(2, top + 1):
+            powers.append((f"{s}_{c}", names[-1], s))
+            names.append(powers[-1][0])
+    if algebra:
+        lines = [f"def kernel({', '.join(sums + ['mul', 'one'])}):"]
+        lines += [f"    {p} = mul({a}, {s})" for p, a, s in powers]
+        products = []
+        for slot in slots:
+            expr = names[slot[0]] if slot else "one"
+            for x in slot[1:]:
+                expr = f"mul({expr}, {names[x]})"
+            products.append(expr)
+        lines.append("    return " + _tuple(products))
+    else:
+        lines = [f"def kernel({', '.join(sums + ['k'])}):"]
+        if powers:
+            lines.append("    if k:")
+            lines += [f"        {p} = {a}*{s} % k" for p, a, s in powers]
+            lines.append("    else:")
+            lines += [f"        {p} = {a}*{s}" for p, a, s in powers]
+        # each term carries its sign, after a leading 0
+        terms = "".join(
+            (" - " if g < 0 else " + ") + "*".join([str(abs(g))] * (g not in (1, -1) or not slot) + [names[x] for x in slot])
+            for g, slot in zip(gs, slots)
+        )
+        lines.append("    return 0" + terms)
+    return _compiled("\n".join(lines))
+
+
+def _powers(sums: list, used: tuple, mul) -> list:
+    """The flat list of a plan's powers: s^1..s^top of each group sum s,
+    each made by one mul from the one before."""
+    powers: list = []
+    for s, (_, top) in zip(sums, used):
+        powers.append(s)
+        for _ in range(1, top):
+            powers.append(mul(powers[-1], s))
+    return powers
+
+
+def _eval_plan(plan: tuple, values, ring: Ring, kernels: dict):
     """The sum over types of G * prod over groups of (the group's sum of
     minors)^count, over ``ring``, from a _plan, with values the minors by
     subset mask.  Over Z, Z/k and F_p (int_modulus) all is native ints,
@@ -448,42 +543,42 @@ def _eval_plan(plan: tuple, values, ring: Ring):
     once by from_int.  Over the quotient algebra on such a base
     (algebra_int_modulus) sums are reduced per coordinate, powers and type
     products go through ``ring.mul``, and each G times its product adds
-    into six int accumulators, reduced once.  Other rings use their ops."""
+    into six int accumulators, reduced once.  On both, the powers and
+    products come from the plan's kernel when _kernel_for gives one, and
+    from loops otherwise.  Other rings use their ops, in loops."""
     used, gs, slots = plan
     k, coord_k = int_modulus(ring), algebra_int_modulus(ring)
-    rows = [[values[mask] for mask in masks] for masks, _ in used]
+    get = values.__getitem__
     if k is not None:
-        sums = [sum(row) % k if k else sum(row) for row in rows]
-        mul = (lambda a, b: a * b % k) if k else int.__mul__
-    elif coord_k is not None:
-        sums = [tuple([sum(c) % coord_k if coord_k else sum(c) for c in zip(*row)]) for row in rows]
-        mul = ring.mul
-    else:
-        sums, mul = [reduce(ring.add, row) for row in rows], ring.mul
-    powers: list = []
-    for s, (_, top) in zip(sums, used):
-        powers.append(s)
-        for _ in range(1, top):
-            powers.append(mul(powers[-1], s))
-    if k is not None:
+        sums = [sum(map(get, masks)) for masks, _ in used]
+        if k:
+            sums = [s % k for s in sums]
+        kernel = _kernel_for(plan, kernels, False)
+        if kernel is not None:
+            return ring.from_int(kernel(*sums, k))
+        powers = _powers(sums, used, (lambda a, b: a * b % k) if k else int.__mul__)
         total = 0
         for g, slot in zip(gs, slots):
             for x in slot:
                 g *= powers[x]
             total += g
         return ring.from_int(total)
-    factor = powers.__getitem__
+    mul = ring.mul
     if coord_k is None:
+        factor = _powers([reduce(ring.add, map(get, masks)) for masks, _ in used], used, mul).__getitem__
         add, from_int, total = ring.add, ring.from_int, ring.zero()
         for g, slot in zip(gs, slots):
             total = add(total, reduce(mul, map(factor, slot), from_int(g)))
         return total
+    sums = [tuple([sum(c) % coord_k if coord_k else sum(c) for c in zip(*map(get, masks))]) for masks, _ in used]
+    one, kernel = ring.one(), _kernel_for(plan, kernels, True)
+    if kernel is not None:
+        products = kernel(*sums, mul, one)
+    else:
+        factor = _powers(sums, used, mul).__getitem__
+        products = [reduce(mul, map(factor, slot)) if slot else one for slot in slots]
     c0 = c1 = c2 = c3 = c4 = c5 = 0
-    for g, slot in zip(gs, slots):
-        if not slot:  # the constant type, G times the one
-            c0 += g
-            continue
-        a0, a1, a2, a3, a4, a5 = reduce(mul, map(factor, slot))
+    for g, (a0, a1, a2, a3, a4, a5) in zip(gs, products):
         c0 += g * a0
         c1 += g * a1
         c2 += g * a2
@@ -563,8 +658,8 @@ def eval_certificate(cert: OffDiagCertificate, A: Matrix):
     Each order's coefficient is evaluated once, from its types."""
     if A.nrows != cert.n or A.ncols != cert.n:
         raise ValueError(f"certificate for n={cert.n}, matrix is {A.nrows}x{A.ncols}")
-    ring, values = A.ring, A.principal_minors().values
-    coeffs = {r: _eval_plan(plan, values, ring) for r, plan in cert.plans.items()}
+    ring, values, kernels = A.ring, A.principal_minors().values, cert.kernels
+    coeffs = {r: _eval_plan(plan, values, ring, kernels[r]) for r, plan in cert.plans.items()}
     total = ring.zero()
     for sign, r, (I, J) in cert.terms:
         term = ring.mul(coeffs[r], quasiprincipal_minor(A, I, J, cert.i, cert.j))

@@ -2,7 +2,8 @@ import hashlib
 import json
 import random
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -596,6 +597,45 @@ def test_algebra_eval_matches_the_ring_ops_and_the_body(k, n, m, data):
         assert got == eval_universal(U, ops_table, ops) == U.body.eval(assignment, ring)
 
 
+# Z with entries up to 2^70, Z/k, F_101, and the quotient algebra on Z/k and on Z
+_KERNEL_RINGS = (
+    Z,
+    *(ModularRing(k) for k in (2, 3, 4, 6)),
+    PrimeField(101),
+    *(FootnoteAlgebra(ModularRing(k)) for k in (2, 3, 4, 6)),
+    FootnoteAlgebra(Z),
+)
+
+
+def _check_value(ring, got):
+    # an int over the int rings; a canonical 6-tuple over the algebra
+    if isinstance(ring, FootnoteAlgebra):
+        k = int_modulus(ring.base)
+        assert type(got) is tuple and len(got) == 6
+        assert all(type(c) is int and (k == 0 or 0 <= c < k) for c in got)
+    else:
+        assert type(got) is int
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.sampled_from(_KERNEL_RINGS), st.integers(1, 5), st.integers(0, 6), st.data())
+def test_cold_loops_warm_kernel_and_body_agree(ring, n, m, data):
+    # each polynomial fresh, evaluated twice: by its plan's loops, then by
+    # its shape's compiled kernel; m = 0 is the constant type, whose slot
+    # tuple is empty, and most plans hold negative G values
+    algebra = isinstance(ring, FootnoteAlgebra)
+    A = Matrix(ring, data.draw(_matrices(ring, n)))
+    table, assignment = A.principal_minors(), minor_assignment(A)
+    for i in range(1, n + 1):
+        U = synth_diag.__wrapped__(n, i, m)
+        cold = eval_universal(U, table, ring)
+        assert U.kernels == {algebra: None}
+        warm = eval_universal(U, table, ring)
+        assert U.kernels[algebra] is not None
+        _check_value(ring, cold)
+        assert cold == warm and ring.eq(warm, U.body.eval(assignment, ring))
+
+
 class _CountingAlgebra(FootnoteAlgebra):
     """The quotient algebra, counting calls of its operations by name."""
 
@@ -645,14 +685,21 @@ class TestPlan:
         assert len(built) == 1 + len(cert.types) and set(cert.plans) == set(cert.types)
 
     def test_plan_takes_no_part_in_equality_hash_or_repr(self):
+        # nor do the kernels that a second evaluation compiles
+        A = Matrix.from_ints(Z, [[1, 2, 0], [3, 4, 1], [0, 1, 5]])
         fresh, evaluated = synth_diag.__wrapped__(3, 2, 4), synth_diag.__wrapped__(3, 2, 4)
-        eval_universal(evaluated, Matrix.from_ints(Z, [[1, 2, 0], [3, 4, 1], [0, 1, 5]]).principal_minors(), Z)
+        for _ in range(2):
+            eval_universal(evaluated, A.principal_minors(), Z)
         assert "plan" in vars(evaluated) and "plan" not in vars(fresh)
+        assert evaluated.kernels[False] is not None and "kernels" not in vars(fresh)
         assert evaluated == fresh and hash(evaluated) == hash(fresh)
         assert repr(evaluated) == repr(fresh) == "UniversalPolynomial(n=3, i=2, m=4)"
         fresh, evaluated = synth_offdiag.__wrapped__(3, 1, 2, 3), synth_offdiag.__wrapped__(3, 1, 2, 3)
-        eval_certificate(evaluated, Matrix.from_ints(Z, [[1, 2, 0], [3, 4, 1], [0, 1, 5]]))
+        for _ in range(2):
+            eval_certificate(evaluated, A)
         assert "plans" in vars(evaluated) and "plans" not in vars(fresh)
+        assert all(kernels[False] is not None for kernels in evaluated.kernels.values())
+        assert "kernels" not in vars(fresh)
         assert evaluated == fresh and hash(evaluated) == hash(fresh) and repr(evaluated) == repr(fresh)
 
     def test_slots_index_the_powers_of_the_groups_in_use(self):
@@ -673,20 +720,107 @@ class TestPlan:
 
     @pytest.mark.parametrize("base", [PrimeField(2), ModularRing(4)])
     def test_algebra_eval_calls_mul_only_for_powers_and_type_products(self, base):
+        # the same calls from the loops of a first evaluation and from the
+        # compiled kernel of the second
         ring, rng = _CountingAlgebra(base), random.Random(23)
         for n in range(1, 6):
             A = suites.random_matrix(ring, n, rng)
             table, power = A.principal_minors(), A.pow(6)
             for m in range(7):
                 for i in range(1, n + 1):
-                    U = synth_diag(n, i, m)
-                    ring.calls.clear()
-                    got = eval_universal(U, table, ring)
-                    used, _, slots = U.plan
-                    muls = sum(top - 1 for _, top in used) + sum(max(len(slot) - 1, 0) for slot in slots)
-                    assert ring.calls == Counter(mul=muls)
-                    if m == 6:
-                        assert got == power.entry(i, i)
+                    U = synth_diag.__wrapped__(n, i, m)
+                    for warm in (False, True):
+                        ring.calls.clear()
+                        got = eval_universal(U, table, ring)
+                        assert (U.kernels[True] is not None) == warm
+                        used, _, slots = U.plan
+                        muls = sum(top - 1 for _, top in used) + sum(max(len(slot) - 1, 0) for slot in slots)
+                        assert ring.calls == Counter(mul=muls)
+                        if m == 6:
+                            assert got == power.entry(i, i)
+
+
+class TestKernels:
+    @pytest.fixture
+    def compiled(self, monkeypatch):
+        """A kernel cache of this test's own, whose misses count compilations."""
+        cache = lru_cache(maxsize=None)(universal._kernel.__wrapped__)
+        monkeypatch.setattr(universal, "_kernel", cache)
+        return lambda: cache.cache_info().misses
+
+    def test_synthesis_printing_loading_and_a_first_evaluation_compile_nothing(self, compiled):
+        A = Matrix.from_ints(Z, [[2, -1, 0, 3], [1, 1, 4, -2], [0, 5, -3, 1], [7, 0, 2, 2]])
+        U = synth_diag.__wrapped__(4, 2, 5)
+        U.serialize()
+        cert = synth_offdiag.__wrapped__(4, 1, 3, 4)
+        assert OffDiagCertificate.from_json(cert.to_json()) == cert
+        assert compiled() == 0
+        assert eval_universal(U, A.principal_minors(), Z) == A.pow(5).entry(2, 2)
+        assert eval_certificate(cert, A) == A.pow(4).entry(1, 3)
+        assert compiled() == 0 and U.kernels == {False: None}
+        assert all(kernels == {False: None} for kernels in cert.kernels.values())
+
+    def test_every_i_shares_one_kernel_per_kind_of_ring(self, compiled):
+        A = Matrix.from_ints(Z, [[2, -1, 0, 3], [1, 1, 4, -2], [0, 5, -3, 1], [7, 0, 2, 2]])
+        B = Matrix(FootnoteAlgebra(), [[(1, 0, 1, 0, 0, 1), (0, 1, 0, 0, 1, 0)], [(1, 1, 0, 0, 0, 0), (0, 0, 1, 1, 0, 1)]])
+        polys = [synth_diag.__wrapped__(4, i, 5) for i in range(1, 5)]
+        for _ in range(3):
+            for i, U in enumerate(polys, 1):
+                assert eval_universal(U, A.principal_minors(), Z) == A.pow(5).entry(i, i)
+        assert compiled() == 1
+        assert len({id(U.kernels[False]) for U in polys}) == 1
+        used, gs, slots = polys[0].plan  # its shape: the plan without the masks
+        assert polys[0].kernels[False] is universal._kernel((tuple(top for _, top in used), gs, slots), False)
+        polys = [synth_diag.__wrapped__(2, i, 5) for i in (1, 2)]
+        for _ in range(2):
+            for i, U in enumerate(polys, 1):
+                assert eval_universal(U, B.principal_minors(), B.ring) == B.pow(5).entry(i, i)
+        assert compiled() == 2 and polys[0].kernels[True] is polys[1].kernels[True]
+
+    def test_certificate_orders_of_one_n_share_kernels(self, compiled):
+        A = Matrix.from_ints(Z, [[2, -1, 0, 3], [1, 1, 4, -2], [0, 5, -3, 1], [7, 0, 2, 2]])
+        certs = [synth_offdiag.__wrapped__(4, i, j, m) for i, j, m in ((1, 3, 4), (2, 1, 5), (4, 2, 6))]
+        for _ in range(2):
+            for cert in certs:
+                assert eval_certificate(cert, A) == A.pow(cert.m).entry(cert.i, cert.j)
+        orders = {r for cert in certs for r in cert.types}
+        assert compiled() == len(orders)
+        for r in orders:
+            kernels = {id(cert.kernels[r][False]) for cert in certs if r in cert.types}
+            assert len(kernels) == 1 and None not in kernels
+
+    def test_a_plan_above_the_cap_keeps_its_loops(self, compiled):
+        U = synth_diag.__wrapped__(5, 1, 10)
+        assert len(U.types) == 346 > universal.MAX_KERNEL_TYPES
+        rng = random.Random(10)
+        for ring in (Z, ModularRing(6), FootnoteAlgebra(ModularRing(4))):
+            A = suites.random_matrix(ring, 5, rng)
+            want = A.pow(10).entry(1, 1)
+            for _ in range(3):
+                assert ring.eq(eval_universal(U, A.principal_minors(), ring), want)
+        assert compiled() == 0 and U.kernels == {False: None, True: None}
+
+    def test_a_plan_at_the_cap_compiles_and_matches_its_loops(self, compiled):
+        # four one-mask groups with counts up to 4, in all combinations in
+        # order up to the cap: the constant type (an empty slot tuple)
+        # first, signs alternating, up to 9 factors a type
+        counts = list(product(range(5), repeat=4))[: universal.MAX_KERNEL_TYPES]
+        types = {c: (-1) ** t * (t + 1) for t, c in enumerate(counts)}
+        plan = universal._plan(types, [[1], [2], [4], [8]])
+        assert len(plan[1]) == universal.MAX_KERNEL_TYPES and plan[2][0] == ()
+        for ring, values in (
+            (Z, {1: 3, 2: -2**40, 4: 7, 8: 5}),
+            (ModularRing(6), {1: 5, 2: 4, 4: 1, 8: 3}),
+            (FootnoteAlgebra(Z), {1: (1, 2, 0, 1, 0, -3), 2: (0, 1, 1, 0, 2, 0), 4: (2, 0, 0, 1, 1, 1), 8: (1, 1, 1, 1, 1, 1)}),
+        ):
+            kernels: dict = {}
+            want = reduce(ring.add, [
+                reduce(ring.mul, [values[1 << x] for x, e in enumerate(c) for _ in range(e)], ring.from_int(g))
+                for c, g in types.items()
+            ])
+            got = [universal._eval_plan(plan, values, ring, kernels) for _ in range(2)]
+            assert got == [want, want] and list(kernels.values()) != [None]
+        assert compiled() == 2
 
 
 class TestEvalByType:
@@ -823,3 +957,24 @@ def test_eval_certificate_matches_the_power_and_the_expanded_oracle(ring, n, m, 
                 want = ring.add(want, ring.mul(coeff.eval(assignment, ring), q))
             got = eval_certificate(synth_offdiag(n, i, j, m), A)
             assert ring.eq(got, power.entry(i, j)) and ring.eq(got, want)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(_KERNEL_RINGS), st.integers(2, 5), st.integers(0, 6), st.data())
+def test_eval_certificate_cold_and_warm_match_the_power(ring, n, m, data):
+    # each certificate fresh, evaluated by its plans' loops and then by
+    # the compiled kernels of their shapes
+    algebra = isinstance(ring, FootnoteAlgebra)
+    A = Matrix(ring, data.draw(_matrices(ring, n)))
+    power = A.pow(m)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i == j:
+                continue
+            cert = synth_offdiag.__wrapped__(n, i, j, m)
+            cold = eval_certificate(cert, A)
+            assert all(kernels == {algebra: None} for kernels in cert.kernels.values())
+            warm = eval_certificate(cert, A)
+            assert all(kernels[algebra] is not None for kernels in cert.kernels.values())
+            _check_value(ring, cold)
+            assert cold == warm and ring.eq(warm, power.entry(i, j))
