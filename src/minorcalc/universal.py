@@ -39,12 +39,13 @@ the G values, and per type the slots of its factors in one flat list of
 powers of the group sums.  One evaluator runs the plan in native ints
 over Z, Z/k and F_p, on the six int coordinates over the quotient
 algebra on such a base, and through the ring's operations otherwise.
-Its loops run a plan's first evaluation over the int rings and its
-first over the algebra; later ones call a straight-line kernel compiled
-for the plan's shape, the plan without its masks.  Every i of one
-(n, m) has the same shape, so they share one kernel, compiled once per
-process.  Plans above MAX_KERNEL_TYPES types, and other rings, keep the
-loops.
+Over the int rings and the algebra, its loops run until the plan's
+shape, the plan without its masks, has been evaluated COMPILE_AFTER
+times, counted over every plan of that shape; from then on a
+straight-line kernel compiled for the shape runs.  Every i of one (n, m)
+has the same shape, so they share the count and the kernel, compiled at
+most once per process.  Plans above MAX_KERNEL_TYPES types, and other
+rings, keep the loops.
 body, the expanded polynomial, is built only when it is read; nothing
 in the package reads it, and the tests use Polynomial.eval on it as the
 oracle of eval_universal.
@@ -77,10 +78,16 @@ from .rings import Ring, algebra_int_modulus, int_modulus
 
 # the most terms a P[n,i,m] body or a certificate may have
 MAX_TERMS = 1 << 20
-# the most types a plan may have to be compiled into a kernel; every plan
-# of verify and the default suites has fewer, and far larger ones cost
-# more to compile than their loops take
+# the most types a plan may have to be compiled into a kernel: every plan
+# that verify and the default suites evaluate (P[5,i,8] has 144 types);
+# a one-return kernel of 4,865 types (P[3,1,30]) fails to compile with
+# RecursionError
 MAX_KERNEL_TYPES = 256
+# the evaluation of one plan shape at which its kernel is compiled: over
+# P[n,1,m] for n <= 5 and m <= 8, compiling a shape's kernel costs as much
+# time as 43 of its evaluations save over Z/4 and 27 over the algebra, in
+# the median, so the loops run until they have cost about as much
+COMPILE_AFTER = 32
 
 
 class UniversalPolynomial(Record):
@@ -109,7 +116,7 @@ class UniversalPolynomial(Record):
 
     @cached_property
     def kernels(self) -> dict:
-        """The plan's compiled kernels by kind of ring (see _kernel_for)."""
+        """The _ShapeKernel of the plan by kind of ring (see _kernel_for)."""
         return {}
 
     def header(self) -> str:
@@ -163,7 +170,7 @@ class OffDiagCertificate(Record):
 
     @cached_property
     def kernels(self) -> dict:
-        """Order r -> the compiled kernels of its plan (see _kernel_for)."""
+        """Order r -> the _ShapeKernel of its plan by kind (see _kernel_for)."""
         return {r: {} for r in self.types}
 
     @classmethod
@@ -438,9 +445,10 @@ def eval_universal(U: UniversalPolynomial, table, ring: Ring):
     the plan of U's types (built at the first evaluation), with no
     expanded body.  The table must be over ``ring``.  Over Z, Z/k and
     F_p, and over the quotient algebra on such a base, the plan's loops
-    run its first evaluation of that kind, and later ones call the
-    compiled kernel of its shape, which every i of one (n, m) shares; a
-    plan above MAX_KERNEL_TYPES types, or another ring, keeps the loops."""
+    run until its shape, which every i of one (n, m) shares, has been
+    evaluated COMPILE_AFTER times in that kind, and the shape's compiled
+    kernel runs from then on; a plan above MAX_KERNEL_TYPES types, or
+    another ring, keeps the loops."""
     if table.n != U.n:
         raise ValueError(f"minor table for n={table.n}, polynomial for n={U.n}")
     if table.ring != ring:
@@ -467,16 +475,38 @@ def _plan(types: dict, groups: list) -> tuple:
 
 def _kernel_for(plan: tuple, kernels: dict, algebra: bool):
     """The compiled kernel of the plan's shape over the int rings or, if
-    ``algebra``, the quotient algebra, kept in ``kernels`` (the plan
-    owner's); None, so that the loops run, at the plan's first
-    evaluation of that kind and for plans above MAX_KERNEL_TYPES types."""
-    kernel = kernels.get(algebra)
-    if kernel is None:
-        if algebra in kernels and len(plan[1]) <= MAX_KERNEL_TYPES:
-            used, gs, slots = plan
-            kernel = _kernel((tuple([top for _, top in used]), gs, slots), algebra)
-        kernels[algebra] = kernel
-    return kernel
+    ``algebra``, the quotient algebra, from the _ShapeKernel kept in
+    ``kernels`` (the plan owner's); None, so that the loops run, until
+    the shape's COMPILE_AFTER-th evaluation of that kind and for plans
+    above MAX_KERNEL_TYPES types."""
+    entry = kernels.get(algebra)
+    if entry is None:
+        used, gs, slots = plan
+        if len(gs) > MAX_KERNEL_TYPES:
+            return None
+        entry = kernels[algebra] = _shape_kernel((tuple([top for _, top in used]), gs, slots), algebra)
+    return entry.kernel or entry.count()
+
+
+class _ShapeKernel:
+    """The kernel of one plan shape and kind of ring, shared by every plan
+    of the shape, and compiled at the COMPILE_AFTER-th of their
+    evaluations; ``kernel`` is None until then."""
+
+    __slots__ = ("shape", "algebra", "evaluations", "kernel")
+
+    def __init__(self, shape: tuple, algebra: bool):
+        self.shape, self.algebra, self.evaluations, self.kernel = shape, algebra, 0, None
+
+    def count(self):
+        """Count one evaluation; the kernel if it is now compiled."""
+        self.evaluations += 1
+        if self.evaluations >= COMPILE_AFTER:
+            self.kernel = _kernel(self.shape, self.algebra)
+        return self.kernel
+
+
+_shape_kernel = lru_cache(maxsize=None)(_ShapeKernel)
 
 
 @lru_cache(maxsize=None)

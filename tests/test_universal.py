@@ -2,8 +2,10 @@ import hashlib
 import json
 import random
 from collections import Counter
+from contextlib import contextmanager
 from functools import lru_cache, reduce
 from itertools import product
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -607,6 +609,17 @@ _KERNEL_RINGS = (
 )
 
 
+@contextmanager
+def _kernels_at(count):
+    """Shape entries and a kernel cache of the block's own, compiling a
+    shape's kernel at its count-th evaluation; yields the number of
+    kernels compiled so far."""
+    kernel = lru_cache(maxsize=None)(universal._kernel.__wrapped__)
+    shapes = lru_cache(maxsize=None)(universal._shape_kernel.__wrapped__)
+    with patch.multiple(universal, COMPILE_AFTER=count, _kernel=kernel, _shape_kernel=shapes):
+        yield lambda: kernel.cache_info().misses
+
+
 def _check_value(ring, got):
     # an int over the int rings; a canonical 6-tuple over the algebra
     if isinstance(ring, FootnoteAlgebra):
@@ -628,10 +641,11 @@ def test_cold_loops_warm_kernel_and_body_agree(ring, n, m, data):
     table, assignment = A.principal_minors(), minor_assignment(A)
     for i in range(1, n + 1):
         U = synth_diag.__wrapped__(n, i, m)
-        cold = eval_universal(U, table, ring)
-        assert U.kernels == {algebra: None}
-        warm = eval_universal(U, table, ring)
-        assert U.kernels[algebra] is not None
+        with _kernels_at(2):
+            cold = eval_universal(U, table, ring)
+            assert U.kernels[algebra].kernel is None
+            warm = eval_universal(U, table, ring)
+            assert U.kernels[algebra].kernel is not None
         _check_value(ring, cold)
         assert cold == warm and ring.eq(warm, U.body.eval(assignment, ring))
 
@@ -685,20 +699,20 @@ class TestPlan:
         assert len(built) == 1 + len(cert.types) and set(cert.plans) == set(cert.types)
 
     def test_plan_takes_no_part_in_equality_hash_or_repr(self):
-        # nor do the kernels that a second evaluation compiles
+        # nor do the compiled kernels
         A = Matrix.from_ints(Z, [[1, 2, 0], [3, 4, 1], [0, 1, 5]])
         fresh, evaluated = synth_diag.__wrapped__(3, 2, 4), synth_diag.__wrapped__(3, 2, 4)
-        for _ in range(2):
+        with _kernels_at(1):
             eval_universal(evaluated, A.principal_minors(), Z)
         assert "plan" in vars(evaluated) and "plan" not in vars(fresh)
-        assert evaluated.kernels[False] is not None and "kernels" not in vars(fresh)
+        assert evaluated.kernels[False].kernel is not None and "kernels" not in vars(fresh)
         assert evaluated == fresh and hash(evaluated) == hash(fresh)
         assert repr(evaluated) == repr(fresh) == "UniversalPolynomial(n=3, i=2, m=4)"
         fresh, evaluated = synth_offdiag.__wrapped__(3, 1, 2, 3), synth_offdiag.__wrapped__(3, 1, 2, 3)
-        for _ in range(2):
+        with _kernels_at(1):
             eval_certificate(evaluated, A)
         assert "plans" in vars(evaluated) and "plans" not in vars(fresh)
-        assert all(kernels[False] is not None for kernels in evaluated.kernels.values())
+        assert all(kernels[False].kernel is not None for kernels in evaluated.kernels.values())
         assert "kernels" not in vars(fresh)
         assert evaluated == fresh and hash(evaluated) == hash(fresh) and repr(evaluated) == repr(fresh)
 
@@ -720,8 +734,7 @@ class TestPlan:
 
     @pytest.mark.parametrize("base", [PrimeField(2), ModularRing(4)])
     def test_algebra_eval_calls_mul_only_for_powers_and_type_products(self, base):
-        # the same calls from the loops of a first evaluation and from the
-        # compiled kernel of the second
+        # the same calls from the loops and from the compiled kernel
         ring, rng = _CountingAlgebra(base), random.Random(23)
         for n in range(1, 6):
             A = suites.random_matrix(ring, n, rng)
@@ -729,78 +742,81 @@ class TestPlan:
             for m in range(7):
                 for i in range(1, n + 1):
                     U = synth_diag.__wrapped__(n, i, m)
-                    for warm in (False, True):
-                        ring.calls.clear()
-                        got = eval_universal(U, table, ring)
-                        assert (U.kernels[True] is not None) == warm
-                        used, _, slots = U.plan
-                        muls = sum(top - 1 for _, top in used) + sum(max(len(slot) - 1, 0) for slot in slots)
-                        assert ring.calls == Counter(mul=muls)
-                        if m == 6:
-                            assert got == power.entry(i, i)
+                    with _kernels_at(2):
+                        for warm in (False, True):
+                            ring.calls.clear()
+                            got = eval_universal(U, table, ring)
+                            assert (U.kernels[True].kernel is not None) == warm
+                            used, _, slots = U.plan
+                            muls = sum(top - 1 for _, top in used) + sum(max(len(slot) - 1, 0) for slot in slots)
+                            assert ring.calls == Counter(mul=muls)
+                            if m == 6:
+                                assert got == power.entry(i, i)
 
 
 class TestKernels:
-    @pytest.fixture
-    def compiled(self, monkeypatch):
-        """A kernel cache of this test's own, whose misses count compilations."""
-        cache = lru_cache(maxsize=None)(universal._kernel.__wrapped__)
-        monkeypatch.setattr(universal, "_kernel", cache)
-        return lambda: cache.cache_info().misses
-
-    def test_synthesis_printing_loading_and_a_first_evaluation_compile_nothing(self, compiled):
+    def test_nothing_compiles_before_a_shapes_threshold_evaluation(self):
+        # synthesis, printing and loading compile nothing; the evaluations of
+        # every i of P[4,.,5] count toward their one shape
         A = Matrix.from_ints(Z, [[2, -1, 0, 3], [1, 1, 4, -2], [0, 5, -3, 1], [7, 0, 2, 2]])
-        U = synth_diag.__wrapped__(4, 2, 5)
-        U.serialize()
-        cert = synth_offdiag.__wrapped__(4, 1, 3, 4)
-        assert OffDiagCertificate.from_json(cert.to_json()) == cert
-        assert compiled() == 0
-        assert eval_universal(U, A.principal_minors(), Z) == A.pow(5).entry(2, 2)
-        assert eval_certificate(cert, A) == A.pow(4).entry(1, 3)
-        assert compiled() == 0 and U.kernels == {False: None}
-        assert all(kernels == {False: None} for kernels in cert.kernels.values())
+        table, power = A.principal_minors(), A.pow(5)
+        with _kernels_at(universal.COMPILE_AFTER) as compiled:
+            synth_diag.__wrapped__(4, 2, 5).serialize()
+            cert = synth_offdiag.__wrapped__(4, 1, 3, 4)
+            assert OffDiagCertificate.from_json(cert.to_json()) == cert
+            assert eval_certificate(cert, A) == A.pow(4).entry(1, 3)
+            assert compiled() == 0
+            polys = [synth_diag.__wrapped__(4, i, 5) for i in range(1, 5)]
+            for e in range(1, universal.COMPILE_AFTER + 1):
+                U = polys[e % 4]
+                assert eval_universal(U, table, Z) == power.entry(U.i, U.i)
+                assert compiled() == (e == universal.COMPILE_AFTER)
+            assert len({id(U.kernels[False]) for U in polys}) == 1 and U.kernels[False].kernel is not None
 
-    def test_every_i_shares_one_kernel_per_kind_of_ring(self, compiled):
+    def test_every_i_shares_one_kernel_per_kind_of_ring(self):
         A = Matrix.from_ints(Z, [[2, -1, 0, 3], [1, 1, 4, -2], [0, 5, -3, 1], [7, 0, 2, 2]])
         B = Matrix(FootnoteAlgebra(), [[(1, 0, 1, 0, 0, 1), (0, 1, 0, 0, 1, 0)], [(1, 1, 0, 0, 0, 0), (0, 0, 1, 1, 0, 1)]])
-        polys = [synth_diag.__wrapped__(4, i, 5) for i in range(1, 5)]
-        for _ in range(3):
-            for i, U in enumerate(polys, 1):
-                assert eval_universal(U, A.principal_minors(), Z) == A.pow(5).entry(i, i)
-        assert compiled() == 1
-        assert len({id(U.kernels[False]) for U in polys}) == 1
-        used, gs, slots = polys[0].plan  # its shape: the plan without the masks
-        assert polys[0].kernels[False] is universal._kernel((tuple(top for _, top in used), gs, slots), False)
-        polys = [synth_diag.__wrapped__(2, i, 5) for i in (1, 2)]
-        for _ in range(2):
-            for i, U in enumerate(polys, 1):
-                assert eval_universal(U, B.principal_minors(), B.ring) == B.pow(5).entry(i, i)
-        assert compiled() == 2 and polys[0].kernels[True] is polys[1].kernels[True]
+        with _kernels_at(1) as compiled:
+            polys = [synth_diag.__wrapped__(4, i, 5) for i in range(1, 5)]
+            for _ in range(3):
+                for i, U in enumerate(polys, 1):
+                    assert eval_universal(U, A.principal_minors(), Z) == A.pow(5).entry(i, i)
+            assert compiled() == 1
+            assert len({id(U.kernels[False].kernel) for U in polys}) == 1
+            used, gs, slots = polys[0].plan  # its shape: the plan without the masks
+            assert polys[0].kernels[False].kernel is universal._kernel((tuple(top for _, top in used), gs, slots), False)
+            polys = [synth_diag.__wrapped__(2, i, 5) for i in (1, 2)]
+            for _ in range(2):
+                for i, U in enumerate(polys, 1):
+                    assert eval_universal(U, B.principal_minors(), B.ring) == B.pow(5).entry(i, i)
+            assert compiled() == 2 and polys[0].kernels[True].kernel is polys[1].kernels[True].kernel
 
-    def test_certificate_orders_of_one_n_share_kernels(self, compiled):
+    def test_certificate_orders_of_one_n_share_kernels(self):
         A = Matrix.from_ints(Z, [[2, -1, 0, 3], [1, 1, 4, -2], [0, 5, -3, 1], [7, 0, 2, 2]])
         certs = [synth_offdiag.__wrapped__(4, i, j, m) for i, j, m in ((1, 3, 4), (2, 1, 5), (4, 2, 6))]
-        for _ in range(2):
-            for cert in certs:
-                assert eval_certificate(cert, A) == A.pow(cert.m).entry(cert.i, cert.j)
-        orders = {r for cert in certs for r in cert.types}
-        assert compiled() == len(orders)
-        for r in orders:
-            kernels = {id(cert.kernels[r][False]) for cert in certs if r in cert.types}
-            assert len(kernels) == 1 and None not in kernels
+        with _kernels_at(1) as compiled:
+            for _ in range(2):
+                for cert in certs:
+                    assert eval_certificate(cert, A) == A.pow(cert.m).entry(cert.i, cert.j)
+            orders = {r for cert in certs for r in cert.types}
+            assert compiled() == len(orders)
+            for r in orders:
+                kernels = {id(cert.kernels[r][False].kernel) for cert in certs if r in cert.types}
+                assert len(kernels) == 1 and id(None) not in kernels
 
-    def test_a_plan_above_the_cap_keeps_its_loops(self, compiled):
+    def test_a_plan_above_the_cap_keeps_its_loops(self):
         U = synth_diag.__wrapped__(5, 1, 10)
         assert len(U.types) == 346 > universal.MAX_KERNEL_TYPES
         rng = random.Random(10)
-        for ring in (Z, ModularRing(6), FootnoteAlgebra(ModularRing(4))):
-            A = suites.random_matrix(ring, 5, rng)
-            want = A.pow(10).entry(1, 1)
-            for _ in range(3):
-                assert ring.eq(eval_universal(U, A.principal_minors(), ring), want)
-        assert compiled() == 0 and U.kernels == {False: None, True: None}
+        with _kernels_at(1) as compiled:
+            for ring in (Z, ModularRing(6), FootnoteAlgebra(ModularRing(4))):
+                A = suites.random_matrix(ring, 5, rng)
+                want = A.pow(10).entry(1, 1)
+                for _ in range(3):
+                    assert ring.eq(eval_universal(U, A.principal_minors(), ring), want)
+            assert compiled() == 0 and U.kernels == {}
 
-    def test_a_plan_at_the_cap_compiles_and_matches_its_loops(self, compiled):
+    def test_a_plan_at_the_cap_compiles_and_matches_its_loops(self):
         # four one-mask groups with counts up to 4, in all combinations in
         # order up to the cap: the constant type (an empty slot tuple)
         # first, signs alternating, up to 9 factors a type
@@ -818,9 +834,15 @@ class TestKernels:
                 reduce(ring.mul, [values[1 << x] for x, e in enumerate(c) for _ in range(e)], ring.from_int(g))
                 for c, g in types.items()
             ])
-            got = [universal._eval_plan(plan, values, ring, kernels) for _ in range(2)]
-            assert got == [want, want] and list(kernels.values()) != [None]
-        assert compiled() == 2
+            with _kernels_at(2) as compiled:
+                got = [universal._eval_plan(plan, values, ring, kernels) for _ in range(2)]
+                assert got == [want, want] and compiled() == 1
+        # one type more keeps its loops
+        types[(0, 0, 0, 5)] = 7
+        kernels = {}
+        with _kernels_at(1) as compiled:
+            universal._eval_plan(universal._plan(types, [[1], [2], [4], [8]]), values, ring, kernels)
+            assert compiled() == 0 and kernels == {}
 
 
 class TestEvalByType:
@@ -972,9 +994,10 @@ def test_eval_certificate_cold_and_warm_match_the_power(ring, n, m, data):
             if i == j:
                 continue
             cert = synth_offdiag.__wrapped__(n, i, j, m)
-            cold = eval_certificate(cert, A)
-            assert all(kernels == {algebra: None} for kernels in cert.kernels.values())
-            warm = eval_certificate(cert, A)
-            assert all(kernels[algebra] is not None for kernels in cert.kernels.values())
+            with _kernels_at(2):
+                cold = eval_certificate(cert, A)
+                assert all(kernels[algebra].kernel is None for kernels in cert.kernels.values())
+                warm = eval_certificate(cert, A)
+                assert all(kernels[algebra].kernel is not None for kernels in cert.kernels.values())
             _check_value(ring, cold)
             assert cold == warm and ring.eq(warm, power.entry(i, j))
