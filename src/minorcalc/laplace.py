@@ -1,4 +1,4 @@
-"""Laplace programs and the int kernels generated from them.
+"""Laplace programs and the kernels generated from them.
 
 A Laplace program is the lowest-row expansion of a set of minors of an
 n x n matrix, unrolled over (row mask, column mask) pairs; it depends
@@ -6,9 +6,11 @@ only on n and the minors asked for.  For rings whose elements are plain
 ints, a program becomes one generated Python function that unpacks the
 rows into locals and computes each minor as one int expression, and a
 matrix product one with an expression per entry, each bound to its
-modulus k by the generated ``kernel(k)``.  The source is built from sizes
-and program indices only.  Every function here caches its results per
-key, so ``matrix`` calls them only for sizes up to ``MAX_SIZE``.
+modulus k by the generated ``kernel(k)``; ``matrix`` asks for these only
+for sizes up to ``MAX_SIZE``.  An algebra with int coordinates, given by
+one int expression per coordinate of a product, gets a generated table
+loop that runs any program and a product loop.  Every function here
+caches its results per key, and imports nothing from the package.
 """
 
 from __future__ import annotations
@@ -114,3 +116,52 @@ def _product_kernel(p: int, q: int, s: int, reduce: bool):
         f"def kernel(k):\n    def product(a, b):\n        {_unpack('a', p, q)} = a\n"
         f"        {_unpack('b', q, s)} = b\n        return {rows}\n    return product"
     )
+
+
+@lru_cache
+def _algebra_kernels(products: tuple) -> tuple:
+    """``(table, product)``: loops on the int coordinates over Z/k (Z if k
+    is 0) of an algebra with first basis element 1, where coordinate r of
+    a*b is ``products[r]`` over the locals a0.. and b0...  Each minor of
+    the Laplace program that ``table(entries, where, k)(rows)`` runs, and
+    each entry of ``product(k)(a, b)``, sums its terms into one int local
+    per coordinate and is reduced mod k once; tables skip zero entries."""
+    d = len(products)
+
+    def sums(op):  # add (op "+") or subtract ("-") a*b into c0..
+        return "".join(f"\n{' ' * 20}c{r} {op}= {expr}" for r, expr in enumerate(products))
+
+    a, b, c = (_tuple(f"{x}{r}" for r in range(d)) for x in "abc")
+    reduced = f"{_tuple(f'c{r} % k' for r in range(d))} if k else {c}"
+    table = _compiled(f"""def kernel(entries, where, k):
+    def table(rows):
+        # vals[-1] is the empty minor, which every 1x1 entry multiplies by
+        vals = [None] * len(entries) + [{_tuple(["1"] + ["0"] * (d - 1))}]
+        nonzero = [[e if any(e) else None for e in row] for row in rows]
+        for at, terms in enumerate(entries):
+            {c} = {_tuple(["0"] * d)}
+            for i, j, negative, s in terms:
+                a = nonzero[i][j]
+                if a is None:
+                    continue
+                {a} = a
+                {b} = vals[s]
+                if negative:{sums("-")}
+                else:{sums("+")}
+            vals[at] = {reduced}
+        return tuple(vals[t] for t in where)
+    return table""")
+    product = _compiled(f"""def kernel(k):
+    def product(a, b):
+        cols = tuple(zip(*b))
+        out = []
+        for row in a:
+            out_row = []
+            for col in cols:
+                {c} = {_tuple(["0"] * d)}
+                for {a}, {b} in zip(row, col):{sums("+")}
+                out_row.append({reduced})
+            out.append(tuple(out_row))
+        return tuple(out)
+    return product""")
+    return table, product

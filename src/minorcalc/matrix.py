@@ -15,9 +15,9 @@ sizes up to MAX_SIZE come from straight-line int kernels generated once
 per size, reduced mod k once per minor or product entry (not at all over
 Z); Z -> Z/k is a ring homomorphism, so the residues are exact.  Over
 the counterexample algebra on such a base, the program and the
-schoolbook product run as fixed loops on the six int coordinates, with
-the algebra's structure constants written out and the same reduction,
-at every size.  Other rings (the algebra over Q, polynomials, ...), and
+schoolbook product run at every size as loops on the six int
+coordinates, generated from ``rings.FOOTNOTE_PRODUCT``, with the same
+reduction.  Other rings (the algebra over Q, polynomials, ...), and
 int rings above MAX_SIZE, where nothing is cached or compiled, run the
 program as one loop through their own ring operations, skipping the
 matrix's zero entries, and products as schoolbook sums.
@@ -29,9 +29,9 @@ from functools import lru_cache, reduce
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .laplace import _laplace_program, _minor_kernel, _product_kernel
+from .laplace import _algebra_kernels, _laplace_program, _minor_kernel, _product_kernel
 from .records import Record
-from .rings import Ring, algebra_int_modulus, int_modulus
+from .rings import FOOTNOTE_PRODUCT_EXPRS, Ring, algebra_int_modulus, int_modulus
 
 # The largest n accepted by the commands and suites that enumerate all
 # 2^n principal minors or subsets of [n].
@@ -319,7 +319,7 @@ def minor_function(ring: Ring, n: int, targets: tuple):
         entries, where = _laplace_program.__wrapped__(n, targets)
     coord_k = algebra_int_modulus(ring)
     if coord_k is not None:
-        return _algebra_table(entries, where, coord_k)
+        return _algebra_kernels(FOOTNOTE_PRODUCT_EXPRS)[0](entries, where, coord_k)
     zero, one, add, sub, mul = ring.zero(), ring.one(), ring.add, ring.sub, ring.mul
 
     def table(rows):
@@ -349,76 +349,12 @@ def product_function(ring: Ring, p: int, q: int, s: int):
         return _product_kernel(p, q, s, k != 0)(k)
     coord_k = algebra_int_modulus(ring)
     if coord_k is not None:
-        return _algebra_product(coord_k)
+        return _algebra_kernels(FOOTNOTE_PRODUCT_EXPRS)[1](coord_k)
     zero, add, mul = ring.zero(), ring.add, ring.mul
 
     def product(a, b):
         cols = tuple(zip(*b))
         return tuple(tuple(reduce(add, map(mul, row, col), zero) for col in cols) for row in a)
-
-    return product
-
-
-def _algebra_table(entries: tuple, where: tuple, k: int):
-    """The Laplace program (``entries``, ``where``) over the quotient
-    algebra on Z/k (Z if k is 0), on the coordinates: each minor sums
-    the structure-constant formulas of its terms as six int locals and
-    is reduced mod k once, with no ring operation."""
-
-    def table(rows):
-        # vals[-1] is the empty minor, which every 1x1 entry multiplies by
-        vals = [None] * len(entries) + [(1, 0, 0, 0, 0, 0)]
-        nonzero = [[e if any(e) else None for e in row] for row in rows]
-        for at, terms in enumerate(entries):
-            c0 = c1 = c2 = c3 = c4 = c5 = 0
-            for i, j, negative, s in terms:
-                a = nonzero[i][j]
-                if a is None:
-                    continue
-                a0, a1, a2, a3, a4, a5 = a
-                b0, b1, b2, b3, b4, b5 = vals[s]
-                if negative:
-                    c0 -= a0 * b0
-                    c1 -= a0 * b1 + a1 * b0
-                    c2 -= a0 * b2 + a2 * b0
-                    c3 -= a0 * b3 + a3 * b0 + a1 * b1
-                    c4 -= a0 * b4 + a4 * b0 + a2 * b2
-                    c5 -= a0 * b5 + a5 * b0 + a1 * b3 + a3 * b1 - a2 * b4 - a4 * b2
-                else:
-                    c0 += a0 * b0
-                    c1 += a0 * b1 + a1 * b0
-                    c2 += a0 * b2 + a2 * b0
-                    c3 += a0 * b3 + a3 * b0 + a1 * b1
-                    c4 += a0 * b4 + a4 * b0 + a2 * b2
-                    c5 += a0 * b5 + a5 * b0 + a1 * b3 + a3 * b1 - a2 * b4 - a4 * b2
-            vals[at] = (c0 % k, c1 % k, c2 % k, c3 % k, c4 % k, c5 % k) if k else (c0, c1, c2, c3, c4, c5)
-        return tuple(vals[t] for t in where)
-
-    return table
-
-
-def _algebra_product(k: int):
-    """Schoolbook products over the quotient algebra on Z/k (Z if k is
-    0) on the coordinates, each entry reduced mod k once."""
-
-    def product(a, b):
-        cols = tuple(zip(*b))
-        out = []
-        for row in a:
-            out_row = []
-            for col in cols:
-                c0 = c1 = c2 = c3 = c4 = c5 = 0
-                for (a0, a1, a2, a3, a4, a5), (b0, b1, b2, b3, b4, b5) in zip(row, col):
-                    c0 += a0 * b0
-                    c1 += a0 * b1 + a1 * b0
-                    c2 += a0 * b2 + a2 * b0
-                    c3 += a0 * b3 + a3 * b0 + a1 * b1
-                    c4 += a0 * b4 + a4 * b0 + a2 * b2
-                    c5 += a0 * b5 + a5 * b0 + a1 * b3 + a3 * b1 - a2 * b4 - a4 * b2
-                out_row.append((c0 % k, c1 % k, c2 % k, c3 % k, c4 % k, c5 % k) if k
-                               else (c0, c1, c2, c3, c4, c5))
-            out.append(tuple(out_row))
-        return tuple(out)
 
     return product
 

@@ -3,7 +3,9 @@
 Schema: ``{"ring": {"kind": "int" | "mod" | "footnote", "modulus"?: k},
 "n": int, "entries": [[...]]}``.  Entries are integers (reduced mod k
 for "mod"); for "footnote" they may also be coordinate 6-vectors of
-integers or the basis symbols "1", "x", "y", "x^2", "y^2", "x^3".
+integers or the basis symbols "1", "x", "y", "x^2", "y^2", "x^3".  A
+"footnote" ring reads back as the algebra over F_k (F_2 with no
+modulus), so only the algebra over a prime field is written out.
 ``n``, ``modulus``, entries and coordinates must be JSON integers, not
 floats, bools, strings or null; malformed input raises ``ValueError``.
 A matrix file's integers may have at most ``MAX_FILE_DIGITS`` decimal
@@ -42,11 +44,10 @@ def ring_from_spec(spec: str) -> Ring:
 
 
 def ring_to_json(ring: Ring) -> dict:
-    if isinstance(ring, FootnoteAlgebra):
-        out = {"kind": "footnote"}
-        if isinstance(ring.base, ModularRing):
-            out["modulus"] = ring.base.modulus
-        return out
+    """The JSON form of Z, Z/k, F_p or the quotient algebra over F_p, which
+    ``ring_from_json`` reads back; any other ring raises ``ValueError``."""
+    if isinstance(ring, FootnoteAlgebra) and isinstance(ring.base, PrimeField):
+        return {"kind": "footnote", "modulus": ring.base.modulus}
     if isinstance(ring, ModularRing):
         return {"kind": "mod", "modulus": ring.modulus}
     if isinstance(ring, IntegerRing):

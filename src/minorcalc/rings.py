@@ -10,13 +10,18 @@ and the quotient algebra both use it to pick native int arithmetic,
 reduced mod k once per result, over the ring's own operations.
 ``algebra_int_modulus`` names the same rule for the quotient algebra: over
 an int base, ``matrix`` computes minor tables and products, and
-``universal`` evaluates P[n,i,m], on the six int coordinates.
+``universal`` evaluates P[n,i,m], on the six int coordinates.  Its
+``mul`` and those loops of ``matrix`` are generated from the one table
+of its structure constants, ``FOOTNOTE_PRODUCT``.
 ``PrimeField`` checks its modulus with deterministic Miller-Rabin, which
 is exact below ``MR_EXACT_BOUND`` and refuses larger moduli.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+
+from .laplace import _compiled, _tuple
 from .records import Record
 
 
@@ -262,6 +267,51 @@ def algebra_int_modulus(ring: Ring):
 # Basis of the counterexample algebra, in fixed coordinate order.
 FOOTNOTE_BASIS = ("1", "x", "y", "x^2", "y^2", "x^3")
 
+# The algebra's structure constants: coordinate r of a*b is the sum of
+# sign * a[x] * b[y] over the triples (x, y, sign) of row r.
+FOOTNOTE_PRODUCT = (
+    ((0, 0, 1),),
+    ((0, 1, 1), (1, 0, 1)),
+    ((0, 2, 1), (2, 0, 1)),
+    ((0, 3, 1), (3, 0, 1), (1, 1, 1)),
+    ((0, 4, 1), (4, 0, 1), (2, 2, 1)),
+    ((0, 5, 1), (5, 0, 1), (1, 3, 1), (3, 1, 1), (2, 4, -1), (4, 2, -1)),
+)
+
+
+def footnote_product_expr(r: int) -> str:
+    """Coordinate r of a*b as an int expression over the locals a0..a5
+    and b0..b5 of the factors' coordinates, such as ``a0*b1 + a1*b0``."""
+    terms = (f"{'+' if sign > 0 else '-'} a{x}*b{y}" for x, y, sign in FOOTNOTE_PRODUCT[r])
+    return " ".join(terms).removeprefix("+ ")
+
+
+FOOTNOTE_PRODUCT_EXPRS = tuple(map(footnote_product_expr, range(len(FOOTNOTE_PRODUCT))))
+
+
+def _ring_op_product(base: Ring, a, b):
+    """a*b through the operations of ``base``, folded over FOOTNOTE_PRODUCT."""
+    add, mul, neg = base.add, base.mul, base.neg
+    return tuple(reduce(add, [mul(a[x], b[y]) if sign > 0 else neg(mul(a[x], b[y])) for x, y, sign in row])
+                 for row in FOOTNOTE_PRODUCT)
+
+
+def _footnote_mul():
+    """``FootnoteAlgebra.mul``: one int expression per coordinate, reduced
+    mod k once (not at all over Z), over an int base; else ``_ring_op_product``."""
+    d = len(FOOTNOTE_PRODUCT_EXPRS)
+    return _compiled(f"""def kernel(fold):
+    def mul(self, a, b):
+        k = self._k
+        if k is None:
+            return fold(self.base, a, b)
+        {_tuple(f"a{r}" for r in range(d))} = a
+        {_tuple(f"b{r}" for r in range(d))} = b
+        if k:
+            return {_tuple(f"({expr}) % k" for expr in FOOTNOTE_PRODUCT_EXPRS)}
+        return {_tuple(FOOTNOTE_PRODUCT_EXPRS)}
+    return mul""")(_ring_op_product)
+
 
 class FootnoteAlgebra(Ring, Record):
     """The 6-dimensional quotient of k[x,y] by (x^3+y^3, xy, x^4, x^3 y,
@@ -276,14 +326,13 @@ class FootnoteAlgebra(Ring, Record):
         c1 = a0b1 + a1b0          c4 = a0b4 + a4b0 + a2b2
         c2 = a0b2 + a2b0          c5 = a0b5 + a5b0 + a1b3 + a3b1 - a2b4 - a4b2
 
-    Over a base whose elements are plain ints (Z, Z/k, F_p) every
-    operation uses int operators and reduces each coordinate mod k once;
-    other bases (Q, ...) compute the same formulas with their own ring
-    operations.  Over an int base, ``matrix`` computes minor tables and
-    products with these formulas written out on the coordinates, one
-    reduction per minor or product entry, without calling ``mul``;
-    ``universal`` sums minors and G times a product on the coordinates
-    and calls ``mul`` only for powers and type products.
+    which ``FOOTNOTE_PRODUCT`` states.  Over a base whose elements are
+    plain ints (Z, Z/k, F_p) every operation uses int operators and
+    reduces each coordinate mod k once; other bases (Q, ...) use their
+    own ring operations.  ``mul`` is generated from that table, as are the
+    coordinate loops in which ``matrix`` computes minor tables and
+    products over an int base without calling ``mul``; ``universal`` calls
+    it only for powers and type products.
     """
 
     _fields = ("base",)
@@ -334,32 +383,7 @@ class FootnoteAlgebra(Ring, Record):
             return tuple([-x % k for x in a])
         return tuple([-x for x in a])
 
-    def mul(self, a, b):
-        k = self._k
-        a0, a1, a2, a3, a4, a5 = a
-        b0, b1, b2, b3, b4, b5 = b
-        if k is None:
-            add, sub, mul = self.base.add, self.base.sub, self.base.mul
-            return (
-                mul(a0, b0),
-                add(mul(a0, b1), mul(a1, b0)),
-                add(mul(a0, b2), mul(a2, b0)),
-                add(add(mul(a0, b3), mul(a3, b0)), mul(a1, b1)),
-                add(add(mul(a0, b4), mul(a4, b0)), mul(a2, b2)),
-                sub(
-                    add(add(mul(a0, b5), mul(a5, b0)), add(mul(a1, b3), mul(a3, b1))),
-                    add(mul(a2, b4), mul(a4, b2)),
-                ),
-            )
-        c0 = a0 * b0
-        c1 = a0 * b1 + a1 * b0
-        c2 = a0 * b2 + a2 * b0
-        c3 = a0 * b3 + a3 * b0 + a1 * b1
-        c4 = a0 * b4 + a4 * b0 + a2 * b2
-        c5 = a0 * b5 + a5 * b0 + a1 * b3 + a3 * b1 - a2 * b4 - a4 * b2
-        if k:
-            return (c0 % k, c1 % k, c2 % k, c3 % k, c4 % k, c5 % k)
-        return (c0, c1, c2, c3, c4, c5)
+    mul = _footnote_mul()
 
     def from_int(self, k: int):
         z = self.base.zero()

@@ -1,7 +1,7 @@
 import random
 from itertools import combinations, permutations
 
-from minorcalc.rings import Ring
+from minorcalc.rings import FootnoteAlgebra, Ring
 
 
 def axiom_failures(ring: Ring, seed: int = 0, trials: int = 200, sampler=None) -> list:
@@ -132,6 +132,16 @@ def footnote_mul_oracle(base: Ring, a, b):
                     prod = base.neg(prod)
                 out[k] = base.add(out[k], prod)
     return tuple(out)
+
+
+class OracleAlgebra(FootnoteAlgebra):
+    """The quotient algebra with footnote_mul_oracle as its product, so
+    that no product of it reads rings.FOOTNOTE_PRODUCT.  Over IntOps(k),
+    which int_modulus does not recognise, every matrix loop over it takes
+    the ring-op path through this mul."""
+
+    def mul(self, a, b):
+        return footnote_mul_oracle(self.base, a, b)
 
 
 def str_oracle(f) -> str:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import IntOps, det_leibniz, schoolbook
+from conftest import IntOps, OracleAlgebra, det_leibniz, schoolbook
 from minorcalc import matrix
 from minorcalc.laplace import _minor_kernel, _product_kernel
 from minorcalc.matrix import (
@@ -22,7 +22,7 @@ from minorcalc.matrix import (
     require_size,
 )
 from minorcalc.poly import POLY_RING, Polynomial
-from minorcalc.rings import FootnoteAlgebra, IntegerRing, ModularRing, PrimeField, RationalField
+from minorcalc.rings import FootnoteAlgebra, IntegerRing, ModularRing, PrimeField, RationalField, int_modulus
 from minorcalc.suites import random_matrix
 from minorcalc.universal import generic_matrix
 
@@ -579,7 +579,10 @@ def test_pow_takes_no_identity_product(monkeypatch):
 # The quotient algebra over every kind of int base.  The coordinate loops
 # that ``matrix`` runs over it are checked against det_leibniz and
 # schoolbook, which go through FootnoteAlgebra.mul, and above MAX_SIZE
-# against the ring-op loops over the same ints through IntOps.
+# against the ring-op loops over the same ints through IntOps.  Both that
+# mul and those loops are generated from rings.FOOTNOTE_PRODUCT, so each
+# test also compares with the ring-op loops of OracleAlgebra over IntOps,
+# whose mul reads no structure constant of ``rings``.
 _ALGEBRA_BASES = [PrimeField(2), PrimeField(3), ModularRing(4), ModularRing(6), Z]
 
 
@@ -640,6 +643,15 @@ def test_algebra_coordinate_loops_match_ring_op_oracles(A):
         results += sum(power.rows, ())
         expected = Matrix(ring, schoolbook(expected, A))
     assert all(_is_canonical_element(ring, v) for v in results)
+    O = _oracle_matrix(A)
+    assert table.values == O.principal_minors().values
+    assert det == O.det() and adj.rows == O.adjugate().rows
+    assert A.pow(4).rows == O.pow(4).rows
+
+
+def _oracle_matrix(A):
+    """A over OracleAlgebra(IntOps(k)), k the modulus of A's base (0 over Z)."""
+    return Matrix(OracleAlgebra(IntOps(int_modulus(A.ring.base))), A.rows)
 
 
 @st.composite
@@ -661,6 +673,7 @@ def test_algebra_products_match_schoolbook(pair):
     assert [list(row) for row in rows] == schoolbook(A, B)
     assert type(rows) is tuple and all(type(row) is tuple for row in rows)
     assert all(_is_canonical_element(A.ring, v) for row in rows for v in row)
+    assert [list(row) for row in rows] == schoolbook(_oracle_matrix(A), _oracle_matrix(B))
 
 
 def test_algebra_above_max_size_matches_the_ring_op_loops():
@@ -689,6 +702,11 @@ def test_algebra_above_max_size_matches_the_ring_op_loops():
         results = [*table.values.values(), *sum(square.rows, ())]
         assert all(_is_canonical_element(ring, v) for v in results)
         assert [cache.cache_info().currsize for cache in caches] == before
+        oracle = _oracle_matrix(A)
+        assert table.values == oracle.principal_minors().values
+        assert A.adjugate().rows == oracle.adjugate().rows
+        assert square.rows == oracle.mul(oracle).rows
+        assert A.pow(3).rows == oracle.pow(3).rows
 
 
 def test_algebra_tables_and_products_make_no_ring_op_mul(monkeypatch):

@@ -12,7 +12,7 @@ from minorcalc.matrixio import (
     ring_from_spec,
     ring_to_json,
 )
-from minorcalc.rings import FootnoteAlgebra, IntegerRing, ModularRing, PrimeField
+from minorcalc.rings import FootnoteAlgebra, IntegerRing, ModularRing, PrimeField, RationalField
 
 
 class TestRingSpec:
@@ -42,6 +42,18 @@ class TestRingSpec:
                      FootnoteAlgebra(PrimeField(5))):
             again = ring_from_json(ring_to_json(ring))
             assert again.describe() == ring.describe()
+        assert ring_to_json(FootnoteAlgebra(PrimeField(5))) == {"kind": "footnote", "modulus": 5}
+
+    @pytest.mark.parametrize("base", [IntegerRing(), ModularRing(4), RationalField()],
+                             ids=lambda r: r.describe())
+    def test_algebra_over_another_base_has_no_json_form(self, base):
+        # read back, a bare {"kind": "footnote"} would be the algebra over
+        # F_2, and a modulus 4 would be refused as not prime
+        ring = FootnoteAlgebra(base)
+        with pytest.raises(ValueError, match="has no JSON form"):
+            ring_to_json(ring)
+        with pytest.raises(ValueError, match="has no JSON form"):
+            matrix_to_json(Matrix.identity(ring, 2))
 
 
 class TestMatrixJson:
