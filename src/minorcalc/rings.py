@@ -327,12 +327,12 @@ class FootnoteAlgebra(Ring, Record):
         c2 = a0b2 + a2b0          c5 = a0b5 + a5b0 + a1b3 + a3b1 - a2b4 - a4b2
 
     which ``FOOTNOTE_PRODUCT`` states.  Over a base whose elements are
-    plain ints (Z, Z/k, F_p) every operation uses int operators and
-    reduces each coordinate mod k once; other bases (Q, ...) use their
-    own ring operations.  ``mul`` is generated from that table, as are the
-    coordinate loops in which ``matrix`` computes minor tables and
-    products over an int base without calling ``mul``; ``universal`` calls
-    it only for powers and type products.
+    plain ints (Z, Z/k, F_p) ``mul`` uses int operators and reduces each
+    coordinate mod k once; over other bases (Q, ...), and in every other
+    operation, the base's own operations run.  ``mul`` is generated from
+    that table, as are the coordinate loops in which ``matrix`` computes
+    minor tables and products over an int base without calling ``mul``;
+    ``universal`` calls it only for powers and type products.
     """
 
     _fields = ("base",)
@@ -352,36 +352,10 @@ class FootnoteAlgebra(Ring, Record):
         return (self.base.one(), z, z, z, z, z)
 
     def add(self, a, b):
-        k = self._k
-        if k is None:
-            add = self.base.add
-            return tuple(add(x, y) for x, y in zip(a, b))
-        a0, a1, a2, a3, a4, a5 = a
-        b0, b1, b2, b3, b4, b5 = b
-        if k:
-            return ((a0 + b0) % k, (a1 + b1) % k, (a2 + b2) % k,
-                    (a3 + b3) % k, (a4 + b4) % k, (a5 + b5) % k)
-        return (a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5)
-
-    def sub(self, a, b):
-        k = self._k
-        if k is None:
-            sub = self.base.sub
-            return tuple(sub(x, y) for x, y in zip(a, b))
-        a0, a1, a2, a3, a4, a5 = a
-        b0, b1, b2, b3, b4, b5 = b
-        if k:
-            return ((a0 - b0) % k, (a1 - b1) % k, (a2 - b2) % k,
-                    (a3 - b3) % k, (a4 - b4) % k, (a5 - b5) % k)
-        return (a0 - b0, a1 - b1, a2 - b2, a3 - b3, a4 - b4, a5 - b5)
+        return tuple(map(self.base.add, a, b))
 
     def neg(self, a):
-        k = self._k
-        if k is None:
-            return tuple(map(self.base.neg, a))
-        if k:
-            return tuple([-x % k for x in a])
-        return tuple([-x for x in a])
+        return tuple(map(self.base.neg, a))
 
     mul = _footnote_mul()
 

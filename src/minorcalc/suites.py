@@ -13,10 +13,10 @@ from .matrix import Matrix, all_subsets, require_size
 from .poly import POLY_RING, Polynomial, qvar
 from .rings import FootnoteAlgebra, IntegerRing, ModularRing, PrimeField, Ring
 from .universal import (
+    _quasi_terms,
     eval_certificate,
     eval_universal,
     generic_matrix,
-    offdiag_series_coeffs,
     synth_diag,
     synth_offdiag,
 )
@@ -157,6 +157,17 @@ def suite_offdiag(
                             f"(i,j)=({i},{j}): {ring.render(got)} != {ring.render(want)}"
                         )
     return failures
+
+
+def offdiag_series_coeffs(n: int, i: int, j: int, order: int) -> list[Polynomial]:
+    """Coefficients of the (i,j) entry of adj(I - tA) as a series whose
+    t^(|P|-1) coefficients are signed quasiprincipal symbols."""
+    coeffs = [Polynomial({}) for _ in range(order + 1)]
+    for k, sign, I, J in _quasi_terms(n, i, j):
+        if k <= order:
+            symbol = Polynomial.variable(qvar(I.members(), J.members()))
+            coeffs[k] = coeffs[k] + (symbol if sign > 0 else -symbol)
+    return coeffs
 
 
 def offdiag_sign_check(n_max: int = 4) -> list[str]:

@@ -36,16 +36,16 @@ eval_universal works from them too: P[n,i,m] is the sum over types of
 G * prod_k U_k^u_k F_k^v_k.  At its first evaluation a polynomial lays
 its types out as a plan: the groups in use with their largest counts,
 the G values, and per type the slots of its factors in one flat list of
-powers of the group sums.  One evaluator runs the plan in native ints
-over Z, Z/k and F_p, on the six int coordinates over the quotient
-algebra on such a base, and through the ring's operations otherwise.
-Over the int rings and the algebra, its loops run until the plan's
-shape, the plan without its masks, has been evaluated COMPILE_AFTER
-times, counted over every plan of that shape; from then on a
-straight-line kernel compiled for the shape runs.  Every i of one (n, m)
-has the same shape, so they share the count and the kernel, compiled at
-most once per process.  Plans above MAX_KERNEL_TYPES types, and other
-rings, keep the loops.
+powers of the group sums.  The plan's _Shape, all of it but the masks,
+holds the G values and slots once; every i of one (n, m) shares it, and
+every certificate of one n shares that of each order.  One evaluator
+runs the plan in native ints over Z, Z/k and F_p, on the six int
+coordinates over the quotient algebra on such a base, and through the
+ring's operations otherwise.  Over those two kinds of ring, the int
+rings and the algebra, its loops run until the shape has been evaluated
+COMPILE_AFTER times in that kind; then the shape compiles a straight-line
+kernel for that kind, which runs from then on.  Shapes above
+MAX_KERNEL_TYPES types, and other rings, keep the loops.
 body, the expanded polynomial, is built only when it is read; nothing
 in the package reads it, and the tests use Polynomial.eval on it as the
 oracle of eval_universal.
@@ -72,7 +72,7 @@ from .matrix import (
     quasiprincipal_minor,
     require_size,
 )
-from .poly import POLY_RING, Polynomial, pvar, qvar, xvar
+from .poly import POLY_RING, Polynomial, pvar, xvar
 from .records import Record
 from .rings import Ring, algebra_int_modulus, int_modulus
 
@@ -113,11 +113,6 @@ class UniversalPolynomial(Record):
         """The types laid out for evaluation (see _plan), built at the
         first evaluation; synthesis and printing never build it."""
         return _plan(self.types, _diag_groups(self.n, self.i))
-
-    @cached_property
-    def kernels(self) -> dict:
-        """The _ShapeKernel of the plan by kind of ring (see _kernel_for)."""
-        return {}
 
     def header(self) -> str:
         return f"P[n={self.n},i={self.i},m={self.m}]"
@@ -167,11 +162,6 @@ class OffDiagCertificate(Record):
         """Order r -> the plan of types[r], built at the first evaluation."""
         groups = _units_by_size(self.n, bool)
         return {r: _plan(types, groups) for r, types in self.types.items()}
-
-    @cached_property
-    def kernels(self) -> dict:
-        """Order r -> the _ShapeKernel of its plan by kind (see _kernel_for)."""
-        return {r: {} for r in self.types}
 
     @classmethod
     def from_json(cls, text: str) -> "OffDiagCertificate":
@@ -294,6 +284,15 @@ def _term_count(types: dict, groups: list) -> int:
             size *= comb(len(units) + c - 1, c)
         total += size
     return total
+
+
+def _require_ints(**args) -> None:
+    """Reject an index whose type is not int.  A bool equals and hashes as
+    0 or 1, so synth_diag and synth_offdiag would store it in a record;
+    their caches are typed, so that a bool misses them and is refused."""
+    for name, value in args.items():
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an int, got {value!r}")
 
 
 def _require_terms(count: int, what: str) -> None:
@@ -426,10 +425,11 @@ def _print_types(types: dict, groups: list, n: int, m: int) -> str:
     return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def synth_diag(n: int, i: int, m: int) -> UniversalPolynomial:
     """The canonical universal polynomial for (A^m)_{i,i}: the types of
     f_m, counted against MAX_TERMS; the body is expanded when read."""
+    _require_ints(n=n, i=i, m=m)
     require_size("n", n, 1)
     if not 1 <= i <= n:
         raise ValueError(f"index i={i} outside [n]={list(range(1, n + 1))}")
@@ -445,85 +445,75 @@ def eval_universal(U: UniversalPolynomial, table, ring: Ring):
     the plan of U's types (built at the first evaluation), with no
     expanded body.  The table must be over ``ring``.  Over Z, Z/k and
     F_p, and over the quotient algebra on such a base, the plan's loops
-    run until its shape, which every i of one (n, m) shares, has been
+    run until its _Shape, which every i of one (n, m) shares, has been
     evaluated COMPILE_AFTER times in that kind, and the shape's compiled
-    kernel runs from then on; a plan above MAX_KERNEL_TYPES types, or
+    kernel runs from then on; a shape above MAX_KERNEL_TYPES types, or
     another ring, keeps the loops."""
     if table.n != U.n:
         raise ValueError(f"minor table for n={table.n}, polynomial for n={U.n}")
     if table.ring != ring:
         raise ValueError(f"minor table over {table.ring!r}, evaluation over {ring!r}")
-    return _eval_plan(U.plan, table.values, ring, U.kernels)
+    return _eval_plan(U.plan, table.values, ring)
 
 
 def _plan(types: dict, groups: list) -> tuple:
-    """(used, gs, slots): the types laid out for _eval_plan.  used holds
-    (masks, top) for each group that some type puts a nonzero count on,
-    in group order, with top its largest count; the powers s^1..s^top of
-    the sums s of those groups, in that order, make one flat list.  gs
-    holds the G of each type, and slots the indices into that list of its
-    factors: offset[group] + count - 1 for each nonzero count."""
-    offsets, used, at = {}, [], 0
+    """(masks, shape): the types laid out for _eval_plan.  masks holds the
+    masks of each group that some type puts a nonzero count on, in group
+    order; the powers s^1..s^top of the sums s of those groups, in that
+    order, make one flat list, with top the group's largest count.  shape
+    is the _Shape of the tops, the G of each type, and the slots of each
+    type: the indices into that list of its factors, offset[group] +
+    count - 1 for each nonzero count."""
+    offsets, masks, tops, at = {}, [], [], 0
     for g, top in enumerate(map(max, zip(*types))):
         if top:
             offsets[g] = at - 1
-            used.append((tuple(groups[g]), top))
+            masks.append(tuple(groups[g]))
+            tops.append(top)
             at += top
     slots = tuple([tuple([offsets[g] + c for g, c in enumerate(counts) if c]) for counts in types])
-    return tuple(used), tuple(types.values()), slots
+    return tuple(masks), _shape(tuple(tops), tuple(types.values()), slots)
 
 
-def _kernel_for(plan: tuple, kernels: dict, algebra: bool):
-    """The compiled kernel of the plan's shape over the int rings or, if
-    ``algebra``, the quotient algebra, from the _ShapeKernel kept in
-    ``kernels`` (the plan owner's); None, so that the loops run, until
-    the shape's COMPILE_AFTER-th evaluation of that kind and for plans
-    above MAX_KERNEL_TYPES types."""
-    entry = kernels.get(algebra)
-    if entry is None:
-        used, gs, slots = plan
-        if len(gs) > MAX_KERNEL_TYPES:
-            return None
-        entry = kernels[algebra] = _shape_kernel((tuple([top for _, top in used]), gs, slots), algebra)
-    return entry.kernel or entry.count()
+class _Shape:
+    """A plan without its masks, shared by every plan with the same tops,
+    G values and slots: per kind of ring, the int rings (False) or the
+    quotient algebra (True), the evaluations counted so far and the
+    kernel, None until it is compiled."""
+
+    __slots__ = ("tops", "gs", "slots", "evaluations", "kernels")
+
+    def __init__(self, tops: tuple, gs: tuple, slots: tuple):
+        self.tops, self.gs, self.slots = tops, gs, slots
+        self.evaluations, self.kernels = [0, 0], [None, None]
+
+    def kernel(self, algebra: bool):
+        """The compiled kernel of that kind; else count one evaluation and
+        compile at the COMPILE_AFTER-th.  None, so that the loops run,
+        until then, and always above MAX_KERNEL_TYPES types."""
+        kernel = self.kernels[algebra]
+        if kernel is None and len(self.gs) <= MAX_KERNEL_TYPES:
+            self.evaluations[algebra] += 1
+            if self.evaluations[algebra] >= COMPILE_AFTER:
+                kernel = self.kernels[algebra] = _kernel(self, algebra)
+        return kernel
 
 
-class _ShapeKernel:
-    """The kernel of one plan shape and kind of ring, shared by every plan
-    of the shape, and compiled at the COMPILE_AFTER-th of their
-    evaluations; ``kernel`` is None until then."""
-
-    __slots__ = ("shape", "algebra", "evaluations", "kernel")
-
-    def __init__(self, shape: tuple, algebra: bool):
-        self.shape, self.algebra, self.evaluations, self.kernel = shape, algebra, 0, None
-
-    def count(self):
-        """Count one evaluation; the kernel if it is now compiled."""
-        self.evaluations += 1
-        if self.evaluations >= COMPILE_AFTER:
-            self.kernel = _kernel(self.shape, self.algebra)
-        return self.kernel
+_shape = lru_cache(maxsize=None)(_Shape)
 
 
-_shape_kernel = lru_cache(maxsize=None)(_ShapeKernel)
-
-
-@lru_cache(maxsize=None)
-def _kernel(shape: tuple, algebra: bool):
-    """A straight-line function for every plan of ``shape``, the plan
-    (used, gs, slots) with each group's masks dropped from used.  With s_x
-    the sum of the x-th group in use, ``kernel(s_0, .., s_r, k)`` makes the
+def _kernel(shape: _Shape, algebra: bool):
+    """A straight-line function for every plan of ``shape``.  With s_x the
+    sum of the x-th group in use, ``kernel(s_0, .., s_r, k)`` makes the
     powers in int arithmetic, reduced mod k if k, and returns the sum of
     G times each type's product, unreduced.  For the quotient algebra,
     ``kernel(s_0, .., s_r, mul, one)`` returns the tuple of the type
     products, with one call of mul per power and per factor after a
     type's first, as _eval_plan's loops make.  The source is built from
     ints and indices only."""
-    tops, gs, slots = shape
-    sums = [f"s{x}" for x in range(len(tops))]
+    sums = [f"s{x}" for x in range(len(shape.tops))]
     names, powers = [], []  # the flat list of powers; (name, lower power, sum)
-    for s, top in zip(sums, tops):
+    for s, top in zip(sums, shape.tops):
         names.append(s)
         for c in range(2, top + 1):
             powers.append((f"{s}_{c}", names[-1], s))
@@ -532,7 +522,7 @@ def _kernel(shape: tuple, algebra: bool):
         lines = [f"def kernel({', '.join(sums + ['mul', 'one'])}):"]
         lines += [f"    {p} = mul({a}, {s})" for p, a, s in powers]
         products = []
-        for slot in slots:
+        for slot in shape.slots:
             expr = names[slot[0]] if slot else "one"
             for x in slot[1:]:
                 expr = f"mul({expr}, {names[x]})"
@@ -548,24 +538,24 @@ def _kernel(shape: tuple, algebra: bool):
         # each term carries its sign, after a leading 0
         terms = "".join(
             (" - " if g < 0 else " + ") + "*".join([str(abs(g))] * (g not in (1, -1) or not slot) + [names[x] for x in slot])
-            for g, slot in zip(gs, slots)
+            for g, slot in zip(shape.gs, shape.slots)
         )
         lines.append("    return 0" + terms)
     return _compiled("\n".join(lines))
 
 
-def _powers(sums: list, used: tuple, mul) -> list:
+def _powers(sums: list, tops: tuple, mul) -> list:
     """The flat list of a plan's powers: s^1..s^top of each group sum s,
     each made by one mul from the one before."""
     powers: list = []
-    for s, (_, top) in zip(sums, used):
+    for s, top in zip(sums, tops):
         powers.append(s)
         for _ in range(1, top):
             powers.append(mul(powers[-1], s))
     return powers
 
 
-def _eval_plan(plan: tuple, values, ring: Ring, kernels: dict):
+def _eval_plan(plan: tuple, values, ring: Ring):
     """The sum over types of G * prod over groups of (the group's sum of
     minors)^count, over ``ring``, from a _plan, with values the minors by
     subset mask.  Over Z, Z/k and F_p (int_modulus) all is native ints,
@@ -574,41 +564,41 @@ def _eval_plan(plan: tuple, values, ring: Ring, kernels: dict):
     (algebra_int_modulus) sums are reduced per coordinate, powers and type
     products go through ``ring.mul``, and each G times its product adds
     into six int accumulators, reduced once.  On both, the powers and
-    products come from the plan's kernel when _kernel_for gives one, and
+    products come from the kernel when the plan's _Shape gives one, and
     from loops otherwise.  Other rings use their ops, in loops."""
-    used, gs, slots = plan
+    masks, shape = plan
     k, coord_k = int_modulus(ring), algebra_int_modulus(ring)
     get = values.__getitem__
     if k is not None:
-        sums = [sum(map(get, masks)) for masks, _ in used]
+        sums = [sum(map(get, group)) for group in masks]
         if k:
             sums = [s % k for s in sums]
-        kernel = _kernel_for(plan, kernels, False)
+        kernel = shape.kernel(False)
         if kernel is not None:
             return ring.from_int(kernel(*sums, k))
-        powers = _powers(sums, used, (lambda a, b: a * b % k) if k else int.__mul__)
+        powers = _powers(sums, shape.tops, (lambda a, b: a * b % k) if k else int.__mul__)
         total = 0
-        for g, slot in zip(gs, slots):
+        for g, slot in zip(shape.gs, shape.slots):
             for x in slot:
                 g *= powers[x]
             total += g
         return ring.from_int(total)
     mul = ring.mul
     if coord_k is None:
-        factor = _powers([reduce(ring.add, map(get, masks)) for masks, _ in used], used, mul).__getitem__
+        factor = _powers([reduce(ring.add, map(get, group)) for group in masks], shape.tops, mul).__getitem__
         add, from_int, total = ring.add, ring.from_int, ring.zero()
-        for g, slot in zip(gs, slots):
+        for g, slot in zip(shape.gs, shape.slots):
             total = add(total, reduce(mul, map(factor, slot), from_int(g)))
         return total
-    sums = [tuple([sum(c) % coord_k if coord_k else sum(c) for c in zip(*map(get, masks))]) for masks, _ in used]
-    one, kernel = ring.one(), _kernel_for(plan, kernels, True)
+    sums = [tuple([sum(c) % coord_k if coord_k else sum(c) for c in zip(*map(get, group))]) for group in masks]
+    one, kernel = ring.one(), shape.kernel(True)
     if kernel is not None:
         products = kernel(*sums, mul, one)
     else:
-        factor = _powers(sums, used, mul).__getitem__
-        products = [reduce(mul, map(factor, slot)) if slot else one for slot in slots]
+        factor = _powers(sums, shape.tops, mul).__getitem__
+        products = [reduce(mul, map(factor, slot)) if slot else one for slot in shape.slots]
     c0 = c1 = c2 = c3 = c4 = c5 = 0
-    for g, (a0, a1, a2, a3, a4, a5) in zip(gs, products):
+    for g, (a0, a1, a2, a3, a4, a5) in zip(shape.gs, products):
         c0 += g * a0
         c1 += g * a1
         c2 += g * a2
@@ -643,18 +633,7 @@ def _quasi_terms(n: int, i: int, j: int):
             yield k, sign, P.without(j), P.without(i)
 
 
-def offdiag_series_coeffs(n: int, i: int, j: int, order: int) -> list[Polynomial]:
-    """Coefficients of the (i,j) entry of adj(I - tA) as a series whose
-    t^(|P|-1) coefficients are signed quasiprincipal symbols."""
-    coeffs = [Polynomial({}) for _ in range(order + 1)]
-    for k, sign, I, J in _quasi_terms(n, i, j):
-        if k <= order:
-            symbol = Polynomial.variable(qvar(I.members(), J.members()))
-            coeffs[k] = coeffs[k] + (symbol if sign > 0 else -symbol)
-    return coeffs
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def synth_offdiag(n: int, i: int, j: int, m: int) -> OffDiagCertificate:
     """Certificate expressing (A^m)_{i,j} as a sum of products of
     p-polynomials and (i,j)-quasiprincipal minors.
@@ -663,6 +642,7 @@ def synth_offdiag(n: int, i: int, j: int, m: int) -> OffDiagCertificate:
     _quasi_terms at t^(|P|-1), so dividing by d(t) gives that
     symbol the t^(m-|P|+1) coefficient of 1/d(t).  Terms follow the
     variable order of q{I|J}: by |I|, then I, then J."""
+    _require_ints(n=n, i=i, j=j, m=m)
     require_size("n", n, 1)
     if not 1 <= i <= n or not 1 <= j <= n:
         raise ValueError(f"indices ({i},{j}) outside [n]={list(range(1, n + 1))}")
@@ -688,8 +668,8 @@ def eval_certificate(cert: OffDiagCertificate, A: Matrix):
     Each order's coefficient is evaluated once, from its types."""
     if A.nrows != cert.n or A.ncols != cert.n:
         raise ValueError(f"certificate for n={cert.n}, matrix is {A.nrows}x{A.ncols}")
-    ring, values, kernels = A.ring, A.principal_minors().values, cert.kernels
-    coeffs = {r: _eval_plan(plan, values, ring, kernels[r]) for r, plan in cert.plans.items()}
+    ring, values = A.ring, A.principal_minors().values
+    coeffs = {r: _eval_plan(plan, values, ring) for r, plan in cert.plans.items()}
     total = ring.zero()
     for sign, r, (I, J) in cert.terms:
         term = ring.mul(coeffs[r], quasiprincipal_minor(A, I, J, cert.i, cert.j))

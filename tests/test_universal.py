@@ -16,12 +16,12 @@ from minorcalc.poly import POLY_RING, Polynomial, pvar, qvar, var_key
 from minorcalc.rings import FootnoteAlgebra, IntegerRing, ModularRing, PrimeField, RationalField, int_modulus
 from minorcalc import suites, universal
 from minorcalc.series import TruncatedSeries
+from minorcalc.suites import offdiag_series_coeffs
 from minorcalc.universal import (
     OffDiagCertificate,
     eval_certificate,
     eval_universal,
     generic_matrix,
-    offdiag_series_coeffs,
     synth_diag,
     synth_offdiag,
     verify_symbolic,
@@ -515,9 +515,12 @@ class TestDirectPrint:
 
 def _entries(ring):
     """Matrix entries over ring: ints up to 2^70 over Z, residues over Z/k
-    and F_p, coordinate 6-tuples over the quotient algebra."""
+    and F_p, fractions in [-9, 9] with denominators up to 9 over Q,
+    coordinate 6-tuples over the quotient algebra."""
     if isinstance(ring, FootnoteAlgebra):
         return st.tuples(*[_entries(ring.base)] * 6)
+    if isinstance(ring, RationalField):
+        return st.fractions(min_value=-9, max_value=9, max_denominator=9)
     k = int_modulus(ring)
     return st.integers(-(2**70), 2**70) if k == 0 else st.integers(0, k - 1)
 
@@ -528,15 +531,18 @@ def _matrices(ring, n):
 
 
 # the quotient algebra on F_2, F_3, the composite Z/4, and Z, where the
-# coordinates reach 2^70 and are never reduced
+# coordinates reach 2^70 and are never reduced; Q and the algebra on Q
+# take _eval_plan's ring-op branch
 _EVAL_RINGS = (
     Z,
     ModularRing(4),
     PrimeField(101),
+    RationalField(),
     FootnoteAlgebra(),
     FootnoteAlgebra(PrimeField(3)),
     FootnoteAlgebra(ModularRing(4)),
     FootnoteAlgebra(Z),
+    FootnoteAlgebra(RationalField()),
 )
 
 
@@ -611,13 +617,13 @@ _KERNEL_RINGS = (
 
 @contextmanager
 def _kernels_at(count):
-    """Shape entries and a kernel cache of the block's own, compiling a
-    shape's kernel at its count-th evaluation; yields the number of
-    kernels compiled so far."""
-    kernel = lru_cache(maxsize=None)(universal._kernel.__wrapped__)
-    shapes = lru_cache(maxsize=None)(universal._shape_kernel.__wrapped__)
-    with patch.multiple(universal, COMPILE_AFTER=count, _kernel=kernel, _shape_kernel=shapes):
-        yield lambda: kernel.cache_info().misses
+    """_Shapes of the block's own, each compiling its kernel of a kind at
+    its count-th evaluation of that kind; yields the number of kernels
+    compiled so far."""
+    compiled, kernel = [], universal._kernel
+    shapes = lru_cache(maxsize=None)(universal._Shape)
+    with patch.multiple(universal, COMPILE_AFTER=count, _shape=shapes, _kernel=lambda *a: compiled.append(a) or kernel(*a)):
+        yield lambda: len(compiled)
 
 
 def _check_value(ring, got):
@@ -643,9 +649,9 @@ def test_cold_loops_warm_kernel_and_body_agree(ring, n, m, data):
         U = synth_diag.__wrapped__(n, i, m)
         with _kernels_at(2):
             cold = eval_universal(U, table, ring)
-            assert U.kernels[algebra].kernel is None
+            assert U.plan[1].kernels[algebra] is None
             warm = eval_universal(U, table, ring)
-            assert U.kernels[algebra].kernel is not None
+            assert U.plan[1].kernels[algebra] is not None
         _check_value(ring, cold)
         assert cold == warm and ring.eq(warm, U.body.eval(assignment, ring))
 
@@ -705,15 +711,14 @@ class TestPlan:
         with _kernels_at(1):
             eval_universal(evaluated, A.principal_minors(), Z)
         assert "plan" in vars(evaluated) and "plan" not in vars(fresh)
-        assert evaluated.kernels[False].kernel is not None and "kernels" not in vars(fresh)
+        assert evaluated.plan[1].kernels[False] is not None
         assert evaluated == fresh and hash(evaluated) == hash(fresh)
         assert repr(evaluated) == repr(fresh) == "UniversalPolynomial(n=3, i=2, m=4)"
         fresh, evaluated = synth_offdiag.__wrapped__(3, 1, 2, 3), synth_offdiag.__wrapped__(3, 1, 2, 3)
         with _kernels_at(1):
             eval_certificate(evaluated, A)
         assert "plans" in vars(evaluated) and "plans" not in vars(fresh)
-        assert all(kernels[False].kernel is not None for kernels in evaluated.kernels.values())
-        assert "kernels" not in vars(fresh)
+        assert all(shape.kernels[False] is not None for _, shape in evaluated.plans.values())
         assert evaluated == fresh and hash(evaluated) == hash(fresh) and repr(evaluated) == repr(fresh)
 
     def test_slots_index_the_powers_of_the_groups_in_use(self):
@@ -721,16 +726,18 @@ class TestPlan:
         # puts a nonzero count on
         for n, i, m in ((1, 1, 0), (3, 2, 4), (5, 1, 6)):
             U = synth_diag(n, i, m)
-            used, gs, slots = U.plan
+            masks, shape = U.plan
             groups = universal._diag_groups(n, i)
-            names = [(tuple(masks), c) for masks, top in used for c in range(1, top + 1)]
+            names = [(group, c) for group, top in zip(masks, shape.tops) for c in range(1, top + 1)]
             in_use = [g for g in range(len(groups)) if any(counts[g] for counts in U.types)]
-            assert used == tuple((tuple(groups[g]), max(counts[g] for counts in U.types)) for g in in_use)
-            assert gs == tuple(U.types.values())
-            for counts, slot in zip(U.types, slots):
+            assert masks == tuple(tuple(groups[g]) for g in in_use)
+            assert shape.tops == tuple(max(counts[g] for counts in U.types) for g in in_use)
+            assert shape.gs == tuple(U.types.values())
+            for counts, slot in zip(U.types, shape.slots):
                 want = [(tuple(groups[g]), c) for g, c in enumerate(counts) if c]
                 assert [names[x] for x in slot] == want
-        assert synth_diag(2, 1, 0).plan == ((), (1,), ((),))
+        masks, shape = synth_diag(2, 1, 0).plan
+        assert masks == () and (shape.tops, shape.gs, shape.slots) == ((), (1,), ((),))
 
     @pytest.mark.parametrize("base", [PrimeField(2), ModularRing(4)])
     def test_algebra_eval_calls_mul_only_for_powers_and_type_products(self, base):
@@ -746,9 +753,9 @@ class TestPlan:
                         for warm in (False, True):
                             ring.calls.clear()
                             got = eval_universal(U, table, ring)
-                            assert (U.kernels[True].kernel is not None) == warm
-                            used, _, slots = U.plan
-                            muls = sum(top - 1 for _, top in used) + sum(max(len(slot) - 1, 0) for slot in slots)
+                            shape = U.plan[1]
+                            assert (shape.kernels[True] is not None) == warm
+                            muls = sum(top - 1 for top in shape.tops) + sum(max(len(slot) - 1, 0) for slot in shape.slots)
                             assert ring.calls == Counter(mul=muls)
                             if m == 6:
                                 assert got == power.entry(i, i)
@@ -771,7 +778,9 @@ class TestKernels:
                 U = polys[e % 4]
                 assert eval_universal(U, table, Z) == power.entry(U.i, U.i)
                 assert compiled() == (e == universal.COMPILE_AFTER)
-            assert len({id(U.kernels[False]) for U in polys}) == 1 and U.kernels[False].kernel is not None
+            assert len({id(U.plan[1]) for U in polys}) == 1
+            assert U.plan[1].evaluations == [universal.COMPILE_AFTER, 0]
+            assert U.plan[1].kernels[False] is not None and U.plan[1].kernels[True] is None
 
     def test_every_i_shares_one_kernel_per_kind_of_ring(self):
         A = Matrix.from_ints(Z, [[2, -1, 0, 3], [1, 1, 4, -2], [0, 5, -3, 1], [7, 0, 2, 2]])
@@ -782,14 +791,28 @@ class TestKernels:
                 for i, U in enumerate(polys, 1):
                     assert eval_universal(U, A.principal_minors(), Z) == A.pow(5).entry(i, i)
             assert compiled() == 1
-            assert len({id(U.kernels[False].kernel) for U in polys}) == 1
-            used, gs, slots = polys[0].plan  # its shape: the plan without the masks
-            assert polys[0].kernels[False].kernel is universal._kernel((tuple(top for _, top in used), gs, slots), False)
+            shape = polys[0].plan[1]
+            assert all(U.plan[1] is shape for U in polys) and len({U.plan[0] for U in polys}) == 4
+            assert shape.kernels[False] is not None and shape.kernels[True] is None
             polys = [synth_diag.__wrapped__(2, i, 5) for i in (1, 2)]
             for _ in range(2):
                 for i, U in enumerate(polys, 1):
                     assert eval_universal(U, B.principal_minors(), B.ring) == B.pow(5).entry(i, i)
-            assert compiled() == 2 and polys[0].kernels[True].kernel is polys[1].kernels[True].kernel
+            assert compiled() == 2 and polys[0].plan[1] is polys[1].plan[1]
+            assert polys[0].plan[1].kernels[True] is not None
+        assert len({id(synth_diag(4, i, 5).plan[1]) for i in range(1, 5)}) == 1
+
+    def test_p_n_i_2_shares_one_kernel_across_n(self):
+        # (A^2)_{i,i} = U_1^2 + U_1 F_1 - U_2 for every n >= 2
+        rng = random.Random(2)
+        with _kernels_at(3) as compiled:
+            polys = [synth_diag.__wrapped__(n, i, 2) for n in (3, 4, 5) for i in range(1, n + 1)]
+            for U in polys:
+                A = suites.random_matrix(Z, U.n, rng)
+                assert eval_universal(U, A.principal_minors(), Z) == A.pow(2).entry(U.i, U.i)
+            shape = polys[0].plan[1]
+            assert all(U.plan[1] is shape for U in polys) and shape.evaluations == [3, 0]
+            assert compiled() == 1 and shape.kernels[False] is not None
 
     def test_certificate_orders_of_one_n_share_kernels(self):
         A = Matrix.from_ints(Z, [[2, -1, 0, 3], [1, 1, 4, -2], [0, 5, -3, 1], [7, 0, 2, 2]])
@@ -801,7 +824,7 @@ class TestKernels:
             orders = {r for cert in certs for r in cert.types}
             assert compiled() == len(orders)
             for r in orders:
-                kernels = {id(cert.kernels[r][False].kernel) for cert in certs if r in cert.types}
+                kernels = {id(cert.plans[r][1].kernels[False]) for cert in certs if r in cert.types}
                 assert len(kernels) == 1 and id(None) not in kernels
 
     def test_a_plan_above_the_cap_keeps_its_loops(self):
@@ -814,7 +837,8 @@ class TestKernels:
                 want = A.pow(10).entry(1, 1)
                 for _ in range(3):
                     assert ring.eq(eval_universal(U, A.principal_minors(), ring), want)
-            assert compiled() == 0 and U.kernels == {}
+            shape = U.plan[1]
+            assert compiled() == 0 and shape.kernels == [None, None] and shape.evaluations == [0, 0]
 
     def test_a_plan_at_the_cap_compiles_and_matches_its_loops(self):
         # four one-mask groups with counts up to 4, in all combinations in
@@ -822,27 +846,28 @@ class TestKernels:
         # first, signs alternating, up to 9 factors a type
         counts = list(product(range(5), repeat=4))[: universal.MAX_KERNEL_TYPES]
         types = {c: (-1) ** t * (t + 1) for t, c in enumerate(counts)}
-        plan = universal._plan(types, [[1], [2], [4], [8]])
-        assert len(plan[1]) == universal.MAX_KERNEL_TYPES and plan[2][0] == ()
+        groups = [[1], [2], [4], [8]]
+        shape = universal._plan(types, groups)[1]
+        assert len(shape.gs) == universal.MAX_KERNEL_TYPES and shape.slots[0] == ()
         for ring, values in (
             (Z, {1: 3, 2: -2**40, 4: 7, 8: 5}),
             (ModularRing(6), {1: 5, 2: 4, 4: 1, 8: 3}),
             (FootnoteAlgebra(Z), {1: (1, 2, 0, 1, 0, -3), 2: (0, 1, 1, 0, 2, 0), 4: (2, 0, 0, 1, 1, 1), 8: (1, 1, 1, 1, 1, 1)}),
         ):
-            kernels: dict = {}
             want = reduce(ring.add, [
                 reduce(ring.mul, [values[1 << x] for x, e in enumerate(c) for _ in range(e)], ring.from_int(g))
                 for c, g in types.items()
             ])
             with _kernels_at(2) as compiled:
-                got = [universal._eval_plan(plan, values, ring, kernels) for _ in range(2)]
+                plan = universal._plan(types, groups)
+                got = [universal._eval_plan(plan, values, ring) for _ in range(2)]
                 assert got == [want, want] and compiled() == 1
         # one type more keeps its loops
         types[(0, 0, 0, 5)] = 7
-        kernels = {}
         with _kernels_at(1) as compiled:
-            universal._eval_plan(universal._plan(types, [[1], [2], [4], [8]]), values, ring, kernels)
-            assert compiled() == 0 and kernels == {}
+            plan = universal._plan(types, groups)
+            universal._eval_plan(plan, values, ring)
+            assert compiled() == 0 and plan[1].kernels == [None, None] and plan[1].evaluations == [0, 0]
 
 
 class TestEvalByType:
@@ -956,6 +981,33 @@ def test_from_json_refuses_what_is_not_a_certificate():
             OffDiagCertificate.from_json(text)
 
 
+def _refuse_bools():
+    data = json.loads(synth_offdiag.__wrapped__(2, 1, 2, 1).to_json())
+    data.update(i=True, m=True)
+    for call in (
+        lambda: synth_diag(True, True, 2),
+        lambda: synth_offdiag(2, True, 2, True),
+        lambda: OffDiagCertificate.from_json(json.dumps(data)),
+    ):
+        with pytest.raises(ValueError, match="must be an int, got True"):
+            call()
+
+
+@pytest.mark.parametrize("bools_first", [True, False])
+def test_bool_indices_are_refused_in_either_call_order(bools_first):
+    # True == 1 and hashes as 1: neither may a bool record enter the
+    # caches, nor a bool call be served the int record from them
+    synth_diag.cache_clear()
+    synth_offdiag.cache_clear()
+    if bools_first:
+        _refuse_bools()
+    assert synth_diag(1, 1, 2).serialize() == "P[n=1,i=1,m=2]\np{1}^2\n"
+    text = synth_offdiag(2, 1, 2, 1).to_json()
+    assert '"i": 1,' in text and '"m": 1,' in text
+    if not bools_first:
+        _refuse_bools()
+
+
 _offdiag_oracle = lru_cache(maxsize=None)(offdiag_oracle)
 
 
@@ -996,8 +1048,8 @@ def test_eval_certificate_cold_and_warm_match_the_power(ring, n, m, data):
             cert = synth_offdiag.__wrapped__(n, i, j, m)
             with _kernels_at(2):
                 cold = eval_certificate(cert, A)
-                assert all(kernels[algebra].kernel is None for kernels in cert.kernels.values())
+                assert all(shape.kernels[algebra] is None for _, shape in cert.plans.values())
                 warm = eval_certificate(cert, A)
-                assert all(kernels[algebra].kernel is not None for kernels in cert.kernels.values())
+                assert all(shape.kernels[algebra] is not None for _, shape in cert.plans.values())
             _check_value(ring, cold)
             assert cold == warm and ring.eq(warm, power.entry(i, j))
