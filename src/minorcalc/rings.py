@@ -9,10 +9,10 @@ says so: k for Z/k and F_k, 0 for Z, None otherwise.  The matrix kernel
 and the quotient algebra both use it to pick native int arithmetic,
 reduced mod k once per result, over the ring's own operations.
 ``algebra_int_modulus`` names the same rule for the quotient algebra: over
-an int base, ``matrix`` computes minor tables and products, and
-``universal`` evaluates P[n,i,m], on the six int coordinates.  Its
-``mul`` and those loops of ``matrix`` are generated from the one table
-of its structure constants, ``FOOTNOTE_PRODUCT``.
+an int base, ``matrix`` computes minor tables and products on the six
+int coordinates, and ``universal`` evaluates P[n,i,m] in ints on two
+lifts of them.  Its ``mul`` and those loops of ``matrix`` are generated
+from the one table of its structure constants, ``FOOTNOTE_PRODUCT``.
 ``PrimeField`` checks its modulus with deterministic Miller-Rabin, which
 is exact below ``MR_EXACT_BOUND`` and refuses larger moduli.
 """
@@ -332,7 +332,7 @@ class FootnoteAlgebra(Ring, Record):
     operation, the base's own operations run.  ``mul`` is generated from
     that table, as are the coordinate loops in which ``matrix`` computes
     minor tables and products over an int base without calling ``mul``;
-    ``universal`` calls it only for powers and type products.
+    ``universal`` evaluates over such a base without calling it either.
     """
 
     _fields = ("base",)

@@ -263,6 +263,8 @@ def run_scan(
     t0 = time.monotonic()
     trials_out, seed_out = None, "exhaustive"
     if isinstance(ring, FootnoteAlgebra):
+        if mode == "random":
+            raise ValueError("footnote scans run only the built-in counterexample family; random mode is not supported")
         if n != 4:
             raise ValueError("the built-in counterexample family has n = 4")
         from .demos import footnote_matrix

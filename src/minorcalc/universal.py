@@ -39,13 +39,15 @@ the G values, and per type the slots of its factors in one flat list of
 powers of the group sums.  The plan's _Shape, all of it but the masks,
 holds the G values and slots once; every i of one (n, m) shares it, and
 every certificate of one n shares that of each order.  One evaluator
-runs the plan in native ints over Z, Z/k and F_p, on the six int
-coordinates over the quotient algebra on such a base, and through the
-ring's operations otherwise.  Over those two kinds of ring, the int
-rings and the algebra, its loops run until the shape has been evaluated
-COMPILE_AFTER times in that kind; then the shape compiles a straight-line
-kernel for that kind, which runs from then on.  Shapes above
-MAX_KERNEL_TYPES types, and other rings, keep the loops.
+runs the plan in native ints over Z, Z/k and F_p; over the quotient
+algebra on such a base it runs the same int code on two lifts of the
+minors, to Z[t]/(t^4) and Z[u]/(u^4) at t = u = 2^w (Kronecker
+substitution), and reads the coordinates back from the base-2^w digits;
+other rings run through their operations.  Over the int rings and the
+algebra alike the loops run until the shape has been evaluated
+COMPILE_AFTER times; then the shape compiles one straight-line int
+kernel, which runs from then on.  Shapes above MAX_KERNEL_TYPES types,
+and other rings, keep the loops.
 body, the expanded polynomial, is built only when it is read; nothing
 in the package reads it, and the tests use Polynomial.eval on it as the
 oracle of eval_universal.
@@ -64,7 +66,7 @@ from functools import cached_property, lru_cache, reduce
 from itertools import product
 from math import comb
 
-from .laplace import _compiled, _tuple
+from .laplace import _compiled
 from .matrix import (
     Matrix,
     Subset,
@@ -85,8 +87,9 @@ MAX_TERMS = 1 << 20
 MAX_KERNEL_TYPES = 256
 # the evaluation of one plan shape at which its kernel is compiled: over
 # P[n,1,m] for n <= 5 and m <= 8, compiling a shape's kernel costs as much
-# time as 43 of its evaluations save over Z/4 and 27 over the algebra, in
-# the median, so the loops run until they have cost about as much
+# time as 38-42 of its evaluations save over Z/4 and 19-20 over the
+# algebra (which runs the kernel twice), in the median, so the loops run
+# until they have cost about as much
 COMPILE_AFTER = 32
 
 
@@ -444,16 +447,16 @@ def eval_universal(U: UniversalPolynomial, table, ring: Ring):
     """Substitute a matrix's principal minors for the p{S} symbols, from
     the plan of U's types (built at the first evaluation), with no
     expanded body.  The table must be over ``ring``.  Over Z, Z/k and
-    F_p, and over the quotient algebra on such a base, the plan's loops
-    run until its _Shape, which every i of one (n, m) shares, has been
-    evaluated COMPILE_AFTER times in that kind, and the shape's compiled
-    kernel runs from then on; a shape above MAX_KERNEL_TYPES types, or
-    another ring, keeps the loops."""
+    F_p, and over the quotient algebra on such a base (on the table's
+    lifted minors), the plan's loops run until its _Shape, which every i
+    of one (n, m) shares, has been evaluated COMPILE_AFTER times, and the
+    shape's compiled kernel runs from then on; a shape above
+    MAX_KERNEL_TYPES types, or another ring, keeps the loops."""
     if table.n != U.n:
         raise ValueError(f"minor table for n={table.n}, polynomial for n={U.n}")
     if table.ring != ring:
         raise ValueError(f"minor table over {table.ring!r}, evaluation over {ring!r}")
-    return _eval_plan(U.plan, table.values, ring)
+    return _eval_plan(U.plan, table, ring)
 
 
 def _plan(types: dict, groups: list) -> tuple:
@@ -463,7 +466,8 @@ def _plan(types: dict, groups: list) -> tuple:
     order, make one flat list, with top the group's largest count.  shape
     is the _Shape of the tops, the G of each type, and the slots of each
     type: the indices into that list of its factors, offset[group] +
-    count - 1 for each nonzero count."""
+    count - 1 for each nonzero count.  The masks, not the shape, give the
+    largest group, so each plan sets its own digit width in _lift."""
     offsets, masks, tops, at = {}, [], [], 0
     for g, top in enumerate(map(max, zip(*types))):
         if top:
@@ -477,40 +481,44 @@ def _plan(types: dict, groups: list) -> tuple:
 
 class _Shape:
     """A plan without its masks, shared by every plan with the same tops,
-    G values and slots: per kind of ring, the int rings (False) or the
-    quotient algebra (True), the evaluations counted so far and the
-    kernel, None until it is compiled."""
+    G values and slots; bound[D] is C(D + 3, 3) times the sum of |G| over
+    the types of D factors (see _lift).  The evaluations counted so far
+    and the kernel, None until it is compiled, serve the int rings and the
+    quotient algebra alike."""
 
-    __slots__ = ("tops", "gs", "slots", "evaluations", "kernels")
+    __slots__ = ("tops", "gs", "slots", "bound", "evaluations", "kernel")
 
     def __init__(self, tops: tuple, gs: tuple, slots: tuple):
         self.tops, self.gs, self.slots = tops, gs, slots
-        self.evaluations, self.kernels = [0, 0], [None, None]
+        exponents = [c for top in tops for c in range(1, top + 1)]
+        degrees = [sum([exponents[x] for x in slot]) for slot in slots]
+        mass = [0] * (max(degrees, default=0) + 1)
+        for g, d in zip(gs, degrees):
+            mass[d] += abs(g)
+        self.bound = tuple([comb(d + 3, 3) * c for d, c in enumerate(mass)])
+        self.evaluations, self.kernel = 0, None
 
-    def kernel(self, algebra: bool):
-        """The compiled kernel of that kind; else count one evaluation and
-        compile at the COMPILE_AFTER-th.  None, so that the loops run,
-        until then, and always above MAX_KERNEL_TYPES types."""
-        kernel = self.kernels[algebra]
+    def warm_kernel(self):
+        """The compiled kernel; else count one evaluation and compile at
+        the COMPILE_AFTER-th.  None, so that the loops run, until then,
+        and always above MAX_KERNEL_TYPES types."""
+        kernel = self.kernel
         if kernel is None and len(self.gs) <= MAX_KERNEL_TYPES:
-            self.evaluations[algebra] += 1
-            if self.evaluations[algebra] >= COMPILE_AFTER:
-                kernel = self.kernels[algebra] = _kernel(self, algebra)
+            self.evaluations += 1
+            if self.evaluations >= COMPILE_AFTER:
+                kernel = self.kernel = _kernel(self)
         return kernel
 
 
 _shape = lru_cache(maxsize=None)(_Shape)
 
 
-def _kernel(shape: _Shape, algebra: bool):
+def _kernel(shape: _Shape):
     """A straight-line function for every plan of ``shape``.  With s_x the
     sum of the x-th group in use, ``kernel(s_0, .., s_r, k)`` makes the
     powers in int arithmetic, reduced mod k if k, and returns the sum of
-    G times each type's product, unreduced.  For the quotient algebra,
-    ``kernel(s_0, .., s_r, mul, one)`` returns the tuple of the type
-    products, with one call of mul per power and per factor after a
-    type's first, as _eval_plan's loops make.  The source is built from
-    ints and indices only."""
+    G times each type's product, unreduced, as _int_sum's loops do.  The
+    source is built from ints and indices only."""
     sums = [f"s{x}" for x in range(len(shape.tops))]
     names, powers = [], []  # the flat list of powers; (name, lower power, sum)
     for s, top in zip(sums, shape.tops):
@@ -518,29 +526,18 @@ def _kernel(shape: _Shape, algebra: bool):
         for c in range(2, top + 1):
             powers.append((f"{s}_{c}", names[-1], s))
             names.append(powers[-1][0])
-    if algebra:
-        lines = [f"def kernel({', '.join(sums + ['mul', 'one'])}):"]
-        lines += [f"    {p} = mul({a}, {s})" for p, a, s in powers]
-        products = []
-        for slot in shape.slots:
-            expr = names[slot[0]] if slot else "one"
-            for x in slot[1:]:
-                expr = f"mul({expr}, {names[x]})"
-            products.append(expr)
-        lines.append("    return " + _tuple(products))
-    else:
-        lines = [f"def kernel({', '.join(sums + ['k'])}):"]
-        if powers:
-            lines.append("    if k:")
-            lines += [f"        {p} = {a}*{s} % k" for p, a, s in powers]
-            lines.append("    else:")
-            lines += [f"        {p} = {a}*{s}" for p, a, s in powers]
-        # each term carries its sign, after a leading 0
-        terms = "".join(
-            (" - " if g < 0 else " + ") + "*".join([str(abs(g))] * (g not in (1, -1) or not slot) + [names[x] for x in slot])
-            for g, slot in zip(shape.gs, shape.slots)
-        )
-        lines.append("    return 0" + terms)
+    lines = [f"def kernel({', '.join(sums + ['k'])}):"]
+    if powers:
+        lines.append("    if k:")
+        lines += [f"        {p} = {a}*{s} % k" for p, a, s in powers]
+        lines.append("    else:")
+        lines += [f"        {p} = {a}*{s}" for p, a, s in powers]
+    # each term carries its sign, after a leading 0
+    terms = "".join(
+        (" - " if g < 0 else " + ") + "*".join([str(abs(g))] * (g not in (1, -1) or not slot) + [names[x] for x in slot])
+        for g, slot in zip(shape.gs, shape.slots)
+    )
+    lines.append("    return 0" + terms)
     return _compiled("\n".join(lines))
 
 
@@ -555,59 +552,88 @@ def _powers(sums: list, tops: tuple, mul) -> list:
     return powers
 
 
-def _eval_plan(plan: tuple, values, ring: Ring):
+def _int_sum(masks: tuple, shape: _Shape, kernel, values, k: int) -> int:
+    """The plan's sum over types of G * prod of powers of the group sums,
+    in ints, with values int minors by mask: the sums and powers reduced
+    mod k if k, the total not.  From the kernel if given, else loops."""
+    get = values.__getitem__
+    sums = [sum(map(get, group)) for group in masks]
+    if k:
+        sums = [s % k for s in sums]
+    if kernel is not None:
+        return kernel(*sums, k)
+    powers = _powers(sums, shape.tops, (lambda a, b: a * b % k) if k else int.__mul__)
+    total = 0
+    for g, slot in zip(shape.gs, shape.slots):
+        for x in slot:
+            g *= powers[x]
+        total += g
+    return total
+
+
+def _lift(plan: tuple, table, k: int) -> tuple:
+    """(w, xs, ys): the digit width of the plan over the quotient algebra on
+    Z/k (Z if k is 0), and by mask the table's minors a, each coordinate
+    reduced mod k, lifted to x(a) = a0 + a1 t + a3 t^2 + a5 t^3 and
+    y(a) = a0 + a2 u + a4 u^2 at t = u = 2^w, ring homomorphisms into
+    Z/2^(4w).  A group sum's coefficients are at most B, the plan's largest
+    group times k - 1 (over Z, times the table's largest |coordinate|), so
+    every coefficient read back is at most M = sum of shape.bound[D] * B^D,
+    and w = M.bit_length() + 1 gives 2^(w-1) > M.  Each packing is kept in
+    table.lifts, by w, for every plan and i that meets it."""
+    masks, shape = plan
+    height = k - 1 if k else max([abs(c) for a in table.values.values() for c in a])
+    top, bound = height * max(map(len, masks), default=0), 0
+    for c in reversed(shape.bound):
+        bound = bound * top + c
+    w = bound.bit_length() + 1
+    packed = table.lifts.get(w)
+    if packed is None:
+        xs, ys, w2, w3 = {}, {}, 2 * w, 3 * w
+        for mask, (a0, a1, a2, a3, a4, a5) in table.values.items():
+            if k:
+                a0, a1, a2, a3, a4, a5 = a0 % k, a1 % k, a2 % k, a3 % k, a4 % k, a5 % k
+            xs[mask] = a0 + (a1 << w) + (a3 << w2) + (a5 << w3)
+            ys[mask] = a0 + (a2 << w) + (a4 << w2)
+        packed = table.lifts[w] = (xs, ys)
+    return (w, *packed)
+
+
+def _digits(total: int, w: int) -> tuple:
+    """c_0..c_3, given total = sum of c_j 2^(jw) mod 2^(4w) with every
+    |c_j| < 2^(w-1): each c_j offset by 2^(w-1) is one unsigned w-bit digit."""
+    half, low = 1 << w - 1, (1 << w) - 1
+    total += half * ((1 << 4 * w) - 1) // low
+    return (total & low) - half, (total >> w & low) - half, (total >> 2 * w & low) - half, (total >> 3 * w & low) - half
+
+
+def _eval_plan(plan: tuple, table, ring: Ring):
     """The sum over types of G * prod over groups of (the group's sum of
-    minors)^count, over ``ring``, from a _plan, with values the minors by
-    subset mask.  Over Z, Z/k and F_p (int_modulus) all is native ints,
-    each sum and power reduced mod k (not at all over Z) and the total
-    once by from_int.  Over the quotient algebra on such a base
-    (algebra_int_modulus) sums are reduced per coordinate, powers and type
-    products go through ``ring.mul``, and each G times its product adds
-    into six int accumulators, reduced once.  On both, the powers and
-    products come from the kernel when the plan's _Shape gives one, and
-    from loops otherwise.  Other rings use their ops, in loops."""
+    minors)^count, over ``ring``, from a _plan, on a minor table over
+    ``ring``.  Over Z, Z/k and F_p (int_modulus) it is _int_sum on the
+    minors, reduced once by from_int.  Over the quotient algebra on such a
+    base (algebra_int_modulus) it is _int_sum mod 2^(4w) on the lifts x and
+    on the lifts y of _lift, whose digits c_j and d_j give the coordinates
+    (c_0, c_1, d_1, c_2, d_2, c_3 - d_3), as y^3 = -x^3, reduced mod k,
+    with no ring operation.  Both count one evaluation and run the shape's
+    kernel once it has one.  Other rings use their ops, in loops."""
     masks, shape = plan
     k, coord_k = int_modulus(ring), algebra_int_modulus(ring)
-    get = values.__getitem__
-    if k is not None:
-        sums = [sum(map(get, group)) for group in masks]
-        if k:
-            sums = [s % k for s in sums]
-        kernel = shape.kernel(False)
-        if kernel is not None:
-            return ring.from_int(kernel(*sums, k))
-        powers = _powers(sums, shape.tops, (lambda a, b: a * b % k) if k else int.__mul__)
-        total = 0
-        for g, slot in zip(shape.gs, shape.slots):
-            for x in slot:
-                g *= powers[x]
-            total += g
-        return ring.from_int(total)
-    mul = ring.mul
-    if coord_k is None:
+    if k is None and coord_k is None:
+        get, mul = table.values.__getitem__, ring.mul
         factor = _powers([reduce(ring.add, map(get, group)) for group in masks], shape.tops, mul).__getitem__
         add, from_int, total = ring.add, ring.from_int, ring.zero()
         for g, slot in zip(shape.gs, shape.slots):
             total = add(total, reduce(mul, map(factor, slot), from_int(g)))
         return total
-    sums = [tuple([sum(c) % coord_k if coord_k else sum(c) for c in zip(*map(get, group))]) for group in masks]
-    one, kernel = ring.one(), shape.kernel(True)
-    if kernel is not None:
-        products = kernel(*sums, mul, one)
-    else:
-        factor = _powers(sums, shape.tops, mul).__getitem__
-        products = [reduce(mul, map(factor, slot)) if slot else one for slot in shape.slots]
-    c0 = c1 = c2 = c3 = c4 = c5 = 0
-    for g, (a0, a1, a2, a3, a4, a5) in zip(shape.gs, products):
-        c0 += g * a0
-        c1 += g * a1
-        c2 += g * a2
-        c3 += g * a3
-        c4 += g * a4
-        c5 += g * a5
-    if coord_k:
-        return (c0 % coord_k, c1 % coord_k, c2 % coord_k, c3 % coord_k, c4 % coord_k, c5 % coord_k)
-    return (c0, c1, c2, c3, c4, c5)
+    kernel = shape.warm_kernel()
+    if k is not None:
+        return ring.from_int(_int_sum(masks, shape, kernel, table.values, k))
+    w, xs, ys = _lift(plan, table, coord_k)
+    x0, x1, x2, x3 = _digits(_int_sum(masks, shape, kernel, xs, 1 << 4 * w), w)
+    _, y1, y2, y3 = _digits(_int_sum(masks, shape, kernel, ys, 1 << 4 * w), w)
+    coords = (x0, x1, y1, x2, y2, x3 - y3)
+    return tuple([c % coord_k for c in coords]) if coord_k else coords
 
 
 def verify_symbolic(n: int, i: int, m: int) -> bool:
@@ -668,8 +694,8 @@ def eval_certificate(cert: OffDiagCertificate, A: Matrix):
     Each order's coefficient is evaluated once, from its types."""
     if A.nrows != cert.n or A.ncols != cert.n:
         raise ValueError(f"certificate for n={cert.n}, matrix is {A.nrows}x{A.ncols}")
-    ring, values = A.ring, A.principal_minors().values
-    coeffs = {r: _eval_plan(plan, values, ring) for r, plan in cert.plans.items()}
+    ring, table = A.ring, A.principal_minors()
+    coeffs = {r: _eval_plan(plan, table, ring) for r, plan in cert.plans.items()}
     total = ring.zero()
     for sign, r, (I, J) in cert.terms:
         term = ring.mul(coeffs[r], quasiprincipal_minor(A, I, J, cert.i, cert.j))

@@ -230,6 +230,7 @@ class TestVerify:
         ["scan", "--ring", "int", "--n", "20", "--mode", "random", "--trials", "4"],
         ["scan", "--ring", "int", "--n", "2", "--mode", "random", "--entry-bound", "-3"],
         ["scan", "--ring", "mod:2", "--n", "2", "--mode", "random", "--entry-bound", "-3"],
+        ["scan", "--ring", "footnote", "--n", "4", "--mode", "random"],
     ],
 )
 def test_out_of_range_input_is_usage_error(argv, capsys):

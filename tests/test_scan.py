@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from conftest import det_leibniz, schoolbook
+from minorcalc import scan
 from minorcalc.demos import footnote_matrix
 from minorcalc.matrix import Matrix, all_subsets
 from minorcalc.matrixio import ring_from_spec
@@ -201,6 +202,14 @@ class TestFootnoteScan:
     def test_wrong_size_rejected(self):
         with pytest.raises(ValueError):
             run_scan("footnote:2", 3, 2)
+
+    @pytest.mark.parametrize("spec", ["footnote", "footnote:3"])
+    def test_random_mode_rejected_before_any_work(self, spec, monkeypatch):
+        # the algebra has only its built-in family: a random scan of it is
+        # refused, not run as the family under another mode
+        monkeypatch.setattr(scan, "_scan_matrices", lambda *a: pytest.fail("scan ran"))
+        with pytest.raises(ValueError, match="random mode"):
+            run_scan(spec, 4, 2, "random", trials=10, seed=1)
 
 
 def test_mod_violation_reverifies():

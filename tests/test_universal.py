@@ -5,13 +5,14 @@ from collections import Counter
 from contextlib import contextmanager
 from functools import lru_cache, reduce
 from itertools import product
+from math import comb
 from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import IntOps, diag_oracle, minor_assignment, offdiag_oracle
-from minorcalc.matrix import Matrix, Subset, all_subsets, diag_reindex, quasiprincipal_minor
+from conftest import IntOps, OracleAlgebra, diag_oracle, minor_assignment, offdiag_oracle
+from minorcalc.matrix import Matrix, MinorTable, Subset, all_subsets, diag_reindex, quasiprincipal_minor
 from minorcalc.poly import POLY_RING, Polynomial, pvar, qvar, var_key
 from minorcalc.rings import FootnoteAlgebra, IntegerRing, ModularRing, PrimeField, RationalField, int_modulus
 from minorcalc import suites, universal
@@ -605,6 +606,77 @@ def test_algebra_eval_matches_the_ring_ops_and_the_body(k, n, m, data):
         assert got == eval_universal(U, ops_table, ops) == U.body.eval(assignment, ring)
 
 
+def _digit_width(U, height):
+    """The digit width of the algebra's lift for U, from the bound: B is
+    the largest group U uses times height (k - 1, or the largest
+    |coordinate| over Z), and M the sum over types of |G| * C(D + 3, 3) *
+    B^D, with D the type's number of factors; w = M.bit_length() + 1."""
+    groups = universal._diag_groups(U.n, U.i)
+    B = height * max((len(units) for g, units in enumerate(groups) if any(t[g] for t in U.types)), default=0)
+    M = sum(abs(G) * comb(sum(t) + 3, 3) * B ** sum(t) for t, G in U.types.items())
+    return M.bit_length() + 1
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.sampled_from((0, 2, 3, 4, 6)), st.integers(1, 5), st.integers(0, 8), st.data())
+def test_algebra_lift_matches_the_ring_op_branch_at_the_bound(k, n, m, data):
+    # minor tables drawn as they are, with no matrix behind them: every
+    # coordinate pinned at an end of its range (k - 1, or +-2^70 over Z,
+    # the largest coefficients the bound allows for) or drawn; every i,
+    # through the loops and then the compiled kernel of a fresh shape,
+    # against the ring-op branch over FootnoteAlgebra(IntOps(k)) and over
+    # OracleAlgebra, whose product reads no structure constant of rings
+    ring = FootnoteAlgebra(ModularRing(k) if k else Z)
+    low, top = (0, k - 1) if k else (-(2**70), 2**70)
+    coord = data.draw(st.sampled_from((st.just(top), st.just(low), st.integers(low, top))))
+    masks = [s.mask for s in all_subsets(n)]
+    values = {mask: data.draw(st.tuples(*[coord] * 6)) if mask else (1, 0, 0, 0, 0, 0) for mask in masks}
+    ops = IntOps(k)
+    oracles = [(alg, MinorTable(n, alg, values)) for alg in (FootnoteAlgebra(ops), OracleAlgebra(ops))]
+    table = MinorTable(n, ring, values)
+    for i in range(1, n + 1):
+        U = synth_diag(n, i, m)
+        want = [eval_universal(U, t, alg) for alg, t in oracles]
+        with _kernels_at(2) as compiled:
+            plan = universal._plan(U.types, universal._diag_groups(n, i))
+            cold = universal._eval_plan(plan, table, ring)
+            assert plan[1].kernel is None
+            warm = universal._eval_plan(plan, table, ring)
+            assert plan[1].kernel is not None and compiled() == 1
+        _check_value(ring, cold)
+        assert cold == warm == want[0] == want[1]
+    height = top if k else max(abs(c) for a in values.values() for c in a)
+    assert set(table.lifts) == {_digit_width(synth_diag(n, i, m), height) for i in range(1, n + 1)}
+
+
+class TestLift:
+    def test_one_table_is_lifted_once_for_every_i(self, monkeypatch):
+        # all i of one (n, m) meet one digit width, so the verify op's n
+        # evaluations share one packing of the table; the lifts take no
+        # part in == or repr (a table, holding a dict, has no hash)
+        packings = []
+        lift = universal._lift
+        monkeypatch.setattr(universal, "_lift", lambda *a: packings.append(len(a[1].lifts)) or lift(*a))
+        rng = random.Random(25)
+        for ring in (FootnoteAlgebra(), FootnoteAlgebra(ModularRing(6)), FootnoteAlgebra(Z)):
+            for n, m in ((3, 2), (4, 6), (5, 4)):
+                A = suites.random_matrix(ring, n, rng)
+                table, fresh, power = A.principal_minors(), A.principal_minors(), A.pow(m)
+                packings.clear()
+                results = []
+                for i in range(1, n + 1):
+                    results.append(eval_universal(synth_diag(n, i, m), table, ring))
+                    if i == 1:
+                        packed = dict(table.lifts)
+                assert results == [power.entry(i, i) for i in range(1, n + 1)]
+                # the first call packs; every later one finds the packing
+                assert packings == [0] + [1] * (n - 1)
+                assert table.lifts.keys() == packed.keys() and all(table.lifts[w] is packed[w] for w in packed)
+                assert len(table.lifts) == 1
+                assert table == fresh and repr(table) == repr(fresh)
+                assert fresh.lifts == {}
+
+
 # Z with entries up to 2^70, Z/k, F_101, and the quotient algebra on Z/k and on Z
 _KERNEL_RINGS = (
     Z,
@@ -640,18 +712,18 @@ def _check_value(ring, got):
 @given(st.sampled_from(_KERNEL_RINGS), st.integers(1, 5), st.integers(0, 6), st.data())
 def test_cold_loops_warm_kernel_and_body_agree(ring, n, m, data):
     # each polynomial fresh, evaluated twice: by its plan's loops, then by
-    # its shape's compiled kernel; m = 0 is the constant type, whose slot
-    # tuple is empty, and most plans hold negative G values
-    algebra = isinstance(ring, FootnoteAlgebra)
+    # its shape's compiled kernel, the one kernel of the int rings and the
+    # algebra alike; m = 0 is the constant type, whose slot tuple is
+    # empty, and most plans hold negative G values
     A = Matrix(ring, data.draw(_matrices(ring, n)))
     table, assignment = A.principal_minors(), minor_assignment(A)
     for i in range(1, n + 1):
         U = synth_diag.__wrapped__(n, i, m)
-        with _kernels_at(2):
+        with _kernels_at(2) as compiled:
             cold = eval_universal(U, table, ring)
-            assert U.plan[1].kernels[algebra] is None
+            assert U.plan[1].kernel is None and U.plan[1].evaluations == 1
             warm = eval_universal(U, table, ring)
-            assert U.plan[1].kernels[algebra] is not None
+            assert U.plan[1].kernel is not None and U.plan[1].evaluations == 2 and compiled() == 1
         _check_value(ring, cold)
         assert cold == warm and ring.eq(warm, U.body.eval(assignment, ring))
 
@@ -711,14 +783,14 @@ class TestPlan:
         with _kernels_at(1):
             eval_universal(evaluated, A.principal_minors(), Z)
         assert "plan" in vars(evaluated) and "plan" not in vars(fresh)
-        assert evaluated.plan[1].kernels[False] is not None
+        assert evaluated.plan[1].kernel is not None
         assert evaluated == fresh and hash(evaluated) == hash(fresh)
         assert repr(evaluated) == repr(fresh) == "UniversalPolynomial(n=3, i=2, m=4)"
         fresh, evaluated = synth_offdiag.__wrapped__(3, 1, 2, 3), synth_offdiag.__wrapped__(3, 1, 2, 3)
         with _kernels_at(1):
             eval_certificate(evaluated, A)
         assert "plans" in vars(evaluated) and "plans" not in vars(fresh)
-        assert all(shape.kernels[False] is not None for _, shape in evaluated.plans.values())
+        assert all(shape.kernel is not None for _, shape in evaluated.plans.values())
         assert evaluated == fresh and hash(evaluated) == hash(fresh) and repr(evaluated) == repr(fresh)
 
     def test_slots_index_the_powers_of_the_groups_in_use(self):
@@ -740,8 +812,9 @@ class TestPlan:
         assert masks == () and (shape.tops, shape.gs, shape.slots) == ((), (1,), ((),))
 
     @pytest.mark.parametrize("base", [PrimeField(2), ModularRing(4)])
-    def test_algebra_eval_calls_mul_only_for_powers_and_type_products(self, base):
-        # the same calls from the loops and from the compiled kernel
+    def test_algebra_eval_makes_no_ring_operation_call(self, base):
+        # no mul, add, from_int or neg call, from the loops or from the
+        # compiled kernel: both run on the lifted minors in ints
         ring, rng = _CountingAlgebra(base), random.Random(23)
         for n in range(1, 6):
             A = suites.random_matrix(ring, n, rng)
@@ -753,10 +826,8 @@ class TestPlan:
                         for warm in (False, True):
                             ring.calls.clear()
                             got = eval_universal(U, table, ring)
-                            shape = U.plan[1]
-                            assert (shape.kernels[True] is not None) == warm
-                            muls = sum(top - 1 for top in shape.tops) + sum(max(len(slot) - 1, 0) for slot in shape.slots)
-                            assert ring.calls == Counter(mul=muls)
+                            assert (U.plan[1].kernel is not None) == warm
+                            assert ring.calls == Counter()
                             if m == 6:
                                 assert got == power.entry(i, i)
 
@@ -779,12 +850,13 @@ class TestKernels:
                 assert eval_universal(U, table, Z) == power.entry(U.i, U.i)
                 assert compiled() == (e == universal.COMPILE_AFTER)
             assert len({id(U.plan[1]) for U in polys}) == 1
-            assert U.plan[1].evaluations == [universal.COMPILE_AFTER, 0]
-            assert U.plan[1].kernels[False] is not None and U.plan[1].kernels[True] is None
+            assert U.plan[1].evaluations == universal.COMPILE_AFTER and U.plan[1].kernel is not None
 
     def test_every_i_shares_one_kernel_per_kind_of_ring(self):
+        # the kind is one: the int rings and the algebra run the same kernel
         A = Matrix.from_ints(Z, [[2, -1, 0, 3], [1, 1, 4, -2], [0, 5, -3, 1], [7, 0, 2, 2]])
         B = Matrix(FootnoteAlgebra(), [[(1, 0, 1, 0, 0, 1), (0, 1, 0, 0, 1, 0)], [(1, 1, 0, 0, 0, 0), (0, 0, 1, 1, 0, 1)]])
+        C = suites.random_matrix(FootnoteAlgebra(ModularRing(4)), 4, random.Random(4))
         with _kernels_at(1) as compiled:
             polys = [synth_diag.__wrapped__(4, i, 5) for i in range(1, 5)]
             for _ in range(3):
@@ -792,27 +864,43 @@ class TestKernels:
                     assert eval_universal(U, A.principal_minors(), Z) == A.pow(5).entry(i, i)
             assert compiled() == 1
             shape = polys[0].plan[1]
+            kernel = shape.kernel
             assert all(U.plan[1] is shape for U in polys) and len({U.plan[0] for U in polys}) == 4
-            assert shape.kernels[False] is not None and shape.kernels[True] is None
+            assert kernel is not None and shape.evaluations == 1
+            for i, U in enumerate(polys, 1):
+                assert eval_universal(U, C.principal_minors(), C.ring) == C.pow(5).entry(i, i)
+            assert compiled() == 1 and shape.kernel is kernel
             polys = [synth_diag.__wrapped__(2, i, 5) for i in (1, 2)]
             for _ in range(2):
                 for i, U in enumerate(polys, 1):
                     assert eval_universal(U, B.principal_minors(), B.ring) == B.pow(5).entry(i, i)
             assert compiled() == 2 and polys[0].plan[1] is polys[1].plan[1]
-            assert polys[0].plan[1].kernels[True] is not None
+            assert polys[0].plan[1].kernel is not None
         assert len({id(synth_diag(4, i, 5).plan[1]) for i in range(1, 5)}) == 1
 
     def test_p_n_i_2_shares_one_kernel_across_n(self):
-        # (A^2)_{i,i} = U_1^2 + U_1 F_1 - U_2 for every n >= 2
+        # (A^2)_{i,i} = U_1^2 + U_1 F_1 - U_2 for every n >= 2; over the
+        # algebra on Z the shape is shared, but each plan's digit width comes
+        # from its own group sizes
         rng = random.Random(2)
+        ring = FootnoteAlgebra(Z)
         with _kernels_at(3) as compiled:
             polys = [synth_diag.__wrapped__(n, i, 2) for n in (3, 4, 5) for i in range(1, n + 1)]
             for U in polys:
                 A = suites.random_matrix(Z, U.n, rng)
                 assert eval_universal(U, A.principal_minors(), Z) == A.pow(2).entry(U.i, U.i)
             shape = polys[0].plan[1]
-            assert all(U.plan[1] is shape for U in polys) and shape.evaluations == [3, 0]
-            assert compiled() == 1 and shape.kernels[False] is not None
+            assert all(U.plan[1] is shape for U in polys) and shape.evaluations == 3
+            assert compiled() == 1 and shape.kernel is not None
+            for n in (3, 4, 5):
+                A = Matrix(ring, [[tuple(rng.choice((-1, 1)) * 2**70 - rng.randrange(9) for _ in range(6))
+                                   for _ in range(n)] for _ in range(n)])
+                table, power = A.principal_minors(), A.pow(2)
+                height = max(abs(c) for a in table.values.values() for c in a)
+                for U in polys[n * (n - 1) // 2 - 3 : n * (n + 1) // 2 - 3]:
+                    assert U.n == n and eval_universal(U, table, ring) == power.entry(U.i, U.i)
+                    assert set(table.lifts) == {_digit_width(U, height)}
+            assert compiled() == 1 and shape.evaluations == 3
 
     def test_certificate_orders_of_one_n_share_kernels(self):
         A = Matrix.from_ints(Z, [[2, -1, 0, 3], [1, 1, 4, -2], [0, 5, -3, 1], [7, 0, 2, 2]])
@@ -824,7 +912,7 @@ class TestKernels:
             orders = {r for cert in certs for r in cert.types}
             assert compiled() == len(orders)
             for r in orders:
-                kernels = {id(cert.plans[r][1].kernels[False]) for cert in certs if r in cert.types}
+                kernels = {id(cert.plans[r][1].kernel) for cert in certs if r in cert.types}
                 assert len(kernels) == 1 and id(None) not in kernels
 
     def test_a_plan_above_the_cap_keeps_its_loops(self):
@@ -838,7 +926,7 @@ class TestKernels:
                 for _ in range(3):
                     assert ring.eq(eval_universal(U, A.principal_minors(), ring), want)
             shape = U.plan[1]
-            assert compiled() == 0 and shape.kernels == [None, None] and shape.evaluations == [0, 0]
+            assert compiled() == 0 and shape.kernel is None and shape.evaluations == 0
 
     def test_a_plan_at_the_cap_compiles_and_matches_its_loops(self):
         # four one-mask groups with counts up to 4, in all combinations in
@@ -860,14 +948,14 @@ class TestKernels:
             ])
             with _kernels_at(2) as compiled:
                 plan = universal._plan(types, groups)
-                got = [universal._eval_plan(plan, values, ring) for _ in range(2)]
+                got = [universal._eval_plan(plan, MinorTable(4, ring, values), ring) for _ in range(2)]
                 assert got == [want, want] and compiled() == 1
         # one type more keeps its loops
         types[(0, 0, 0, 5)] = 7
         with _kernels_at(1) as compiled:
             plan = universal._plan(types, groups)
-            universal._eval_plan(plan, values, ring)
-            assert compiled() == 0 and plan[1].kernels == [None, None] and plan[1].evaluations == [0, 0]
+            universal._eval_plan(plan, MinorTable(4, ring, values), ring)
+            assert compiled() == 0 and plan[1].kernel is None and plan[1].evaluations == 0
 
 
 class TestEvalByType:
@@ -1037,8 +1125,7 @@ def test_eval_certificate_matches_the_power_and_the_expanded_oracle(ring, n, m, 
 @given(st.sampled_from(_KERNEL_RINGS), st.integers(2, 5), st.integers(0, 6), st.data())
 def test_eval_certificate_cold_and_warm_match_the_power(ring, n, m, data):
     # each certificate fresh, evaluated by its plans' loops and then by
-    # the compiled kernels of their shapes
-    algebra = isinstance(ring, FootnoteAlgebra)
+    # the compiled kernels of their shapes, one kind for every ring
     A = Matrix(ring, data.draw(_matrices(ring, n)))
     power = A.pow(m)
     for i in range(1, n + 1):
@@ -1048,8 +1135,8 @@ def test_eval_certificate_cold_and_warm_match_the_power(ring, n, m, data):
             cert = synth_offdiag.__wrapped__(n, i, j, m)
             with _kernels_at(2):
                 cold = eval_certificate(cert, A)
-                assert all(shape.kernels[algebra] is None for _, shape in cert.plans.values())
+                assert all(shape.kernel is None for _, shape in cert.plans.values())
                 warm = eval_certificate(cert, A)
-                assert all(shape.kernels[algebra] is not None for _, shape in cert.plans.values())
+                assert all(shape.kernel is not None for _, shape in cert.plans.values())
             _check_value(ring, cold)
             assert cold == warm and ring.eq(warm, power.entry(i, j))
