@@ -383,8 +383,8 @@ class MinorTable(Record):
 
     def __init__(self, n: int, ring: Ring, values: dict):
         self._init(n, ring, values)  # values: mask -> ring element
-        # the lifted minors by digit width, which universal packs over the
-        # quotient algebra on an int base; not part of ==, hash or repr
+        # universal's lifts of the minors by digit width, each with its height,
+        # over the quotient algebra on an int base; not part of ==, hash or repr
         object.__setattr__(self, "lifts", {})
 
     def __getitem__(self, subset):

@@ -268,7 +268,9 @@ def algebra_int_modulus(ring: Ring):
 FOOTNOTE_BASIS = ("1", "x", "y", "x^2", "y^2", "x^3")
 
 # The algebra's structure constants: coordinate r of a*b is the sum of
-# sign * a[x] * b[y] over the triples (x, y, sign) of row r.
+# sign * a[x] * b[y] over the triples (x, y, sign) of row r.  universal's
+# lift relies on two facts of them: the basis order (1, x, y, x^2, y^2,
+# x^3) and y^3 = -x^3, the -1 of (2, 4) and (4, 2) in row 5.
 FOOTNOTE_PRODUCT = (
     ((0, 0, 1),),
     ((0, 1, 1), (1, 0, 1)),

@@ -2,30 +2,33 @@
 diagonal entries of A^m in the principal minors of A, and of the
 off-diagonal certificates in terms of quasiprincipal minors.
 
-The construction works with power series in t over Z[p{S}]:
+(A^m)_{i,i} is the t^m coefficient of ((I - tA)^-1)_{i,i} = a(t) / d(t),
+with d(t) = det(I - tA) = sum over P of (-1)^|P| p{P} t^|P| and a(t) the
+same sum over the P that miss i.  Let U_k and F_k sum the p{P} with
+|P| = k that contain and that miss i (F_n = 0), x_k = (-1)^(k+1) U_k t^k,
+y_k = (-1)^(k+1) F_k t^k, and S the sum of all x_k and y_k.  Then
+d = 1 - S and a = 1 - sum y_k, so a / d = 1 + sum_(s>=0) (sum x_k) S^s.
+By the multinomial theorem prod_k x_k^u_k y_k^v_k, with N = |u| + |v| >= 1
+factors, has the coefficient |u| (N-1)! / (prod u_k! prod v_k!) in
+(sum x_k) S^(N-1) (pick the x_k that comes first), and the sign
+(-1)^(m+N) at weight m = sum_k k (u_k + v_k).  So P[n,i,m] is 1 at m = 0,
+else the sum over the weight-m types (u, v) with u != 0 of
 
-* d(t)  = sum over P of (-1)^|P| p{P} t^|P|        (det of I - tA),
-* a(t)  = the same sum over subsets of [n-1], reindexed around i
-          (the (i,i) entry of adj(I - tA)),
+    G(u, v) prod_k U_k^u_k F_k^v_k,  G = (-1)^(m+N) |u| (N-1)! / (prod u_k! prod v_k!).
 
-and the t^m coefficient f_m of f(t) = a(t) / d(t) is the wanted
-polynomial, because the t^m coefficient of ((I - tA)^-1)_{i,i} is
-(A^m)_{i,i}.  Both series see the p{P} only through their sums by size:
-d_j = (-1)^j E_j with E_j the sum of p{P} over |P| = j, and
-a_k = (-1)^k F_k with F_k the same sum over the P that miss i.  So
-f_m is first computed as a polynomial in E_1..E_n, F_1..F_{n-1}, by the
-order-n recurrence f_k = a_k - sum_{j=1..n} d_j f_{k-j} (d_0 = 1).
-
-It is then expanded by type.  With U_k the sum over |P| = k with i in P,
-E_k = U_k + F_k, and a monomial in the p{P} has the type (u, v): u_k is
-its exponent mass on the units of U_k, v_k that on the units of F_k.
-Every compressed term c * prod E_k^a_k F_k^b_k with v_k = a_k - u_k + b_k
-adds c * prod_k C(a_k, u_k) to the coefficient G(u, v) of that type, and
-the type expands to G times one multiset of u_k units of U_k and one of
-v_k units of F_k for every k, with the product of their multinomial
-coefficients.  A monomial determines its type and its multisets, so
-every term is written once, and the number of terms is known before any
-is built: synth_diag and synth_offdiag refuse more than MAX_TERMS.
+A type expands to multisets of the units (the p{S}) of each group, with
+multinomial coefficients, and a monomial determines its type and its
+multisets, so every term is written once: prod p{S}^e_S has the
+coefficient (-1)^(m+N) deg_i (N-1)! / prod e_S!, deg_i its degree in the
+p{S} with i in S.  That is nonzero exactly when deg_i > 0, so the terms
+are exactly the weight-m monomials (p{S} weighing |S|) that involve i:
+W_n(m) - W_{n-1}(m) of them, where W_n(r), the t^r coefficient of
+prod_k (1 - t^k)^-C(n,k), counts the weight-r monomials in the p{S} of
+[n].  synth_diag prices a request by that DP and refuses more than
+MAX_TERMS terms before it enumerates a type.  Likewise [t^r] 1/d(t) is
+the sum over a of weight r of (-1)^(r+|a|) |a|! / prod a_j! prod E_j^a_j,
+E_j = U_j + F_j; its types take all size-j subsets as the units of E_j,
+so it has W_n(r) terms, which synth_offdiag prices the same way.
 
 A UniversalPolynomial keeps its types.  serialize() prints from them
 with no expanded polynomial: per subset size, a table of fragments (a
@@ -51,19 +54,15 @@ and other rings, keep the loops.
 body, the expanded polynomial, is built only when it is read; nothing
 in the package reads it, and the tests use Polynomial.eval on it as the
 oracle of eval_universal.
-The certificates need the coefficients of 1/d(t), polynomials in the
-E_k alone, typed with all size-k subsets as the units of E_k.  A
-certificate keeps these types, and a plan, per order; to_json and
-eval_certificate print and evaluate them as above, and from_json
+A certificate keeps the types of 1/d(t), and a plan, per order; to_json
+and eval_certificate print and evaluate them as above, and from_json
 re-synthesizes.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from functools import cached_property, lru_cache, reduce
-from itertools import product
 from math import comb
 
 from .laplace import _compiled
@@ -80,6 +79,11 @@ from .rings import Ring, algebra_int_modulus, int_modulus
 
 # the most terms a P[n,i,m] body or a certificate may have
 MAX_TERMS = 1 << 20
+# the most steps of the term-count DP, 2^n - 1 per weight; past it a count
+# is priced at the cap's weight, a lower bound as counts never fall with m.
+# That weight (1,028 or more) passes every first refused m at n >= 2
+# (2,047 at n = 2, 46 at n = 3, ... 9 at n = 8); at n = 1 every count is 1
+PRICE_STEPS = 1 << 18
 # the most types a plan may have to be compiled into a kernel: every plan
 # that verify and the default suites evaluate (P[5,i,8] has 144 types);
 # a one-return kernel of 4,865 types (P[3,1,30]) fails to compile with
@@ -101,7 +105,7 @@ class UniversalPolynomial(Record):
 
     def __init__(self, n: int, i: int, m: int, types: dict):
         self._init(n, i, m)
-        # the types from _diag_types; (n, i, m) determines them, so they
+        # the types from _diag_coefficients; (n, m) determines them, so they
         # take no part in == or hash
         object.__setattr__(self, "types", types)
 
@@ -213,40 +217,6 @@ def _units_by_size(n: int, keep) -> list[list[int]]:
     return [[mask for mask in masks if mask.bit_count() == k and keep(mask)] for k in range(1, n + 1)]
 
 
-def _compressed(n: int, m: int, with_f: bool, orders) -> dict[int, dict]:
-    """[t^k] a(t) / d(t) for each k in orders (all at most m), with
-    a(t) = 1 unless with_f, as {exponent vector: coefficient} over
-    E_1..E_n and then, if with_f, F_1..F_{n-1}.  The recurrence runs on
-    packed vectors: field j - 1 holds the exponent of E_j and field
-    n + k - 1 that of F_k, each m.bit_length() bits wide, which holds every
-    exponent of a term of weight at most m.  Only the last n orders and
-    the asked ones are kept."""
-    w = m.bit_length() or 1
-    last: deque = deque(maxlen=n)  # f_{k-n} .. f_{k-1}
-    kept = {}
-    for k in range(m + 1):
-        if k == 0:
-            acc = {0: 1}
-        elif with_f and k < n:
-            acc = {1 << w * (n + k - 1): -1 if k & 1 else 1}
-        else:
-            acc = {}
-        get = acc.get
-        for j in range(1, min(k, n) + 1):
-            unit, sign = 1 << w * (j - 1), -1 if j & 1 else 1
-            for mono, c in last[-j].items():
-                mono += unit
-                acc[mono] = get(mono, 0) - sign * c
-        last.append({mono: c for mono, c in acc.items() if c})
-        if k in orders:
-            kept[k] = last[-1]
-    low, fields = (1 << w) - 1, range(2 * n - 1 if with_f else n)
-    return {
-        k: {tuple(mono >> w * x & low for x in fields): c for mono, c in kept[k].items()}
-        for k in orders
-    }
-
-
 @lru_cache
 def _diag_groups(n: int, i: int) -> list:
     """The subset masks of U_1..U_n and then of F_1..F_{n-1}: U_k holds
@@ -256,37 +226,55 @@ def _diag_groups(n: int, i: int) -> list:
     return _units_by_size(n, bit.__and__) + _units_by_size(n, lambda mask: not mask & bit)[:-1]
 
 
-def _diag_types(n: int, i: int, m: int) -> tuple[dict, list]:
-    """(types, groups) of P[n,i,m], with groups from _diag_groups.
-
-    types maps the exponent mass (u_1..u_n, v_1..v_{n-1}) put on each group
-    to its coefficient G = sum of c * prod_k C(a_k, u_k) over the
-    compressed terms c * prod E_k^a_k F_k^b_k with v_k = a_k - u_k + b_k;
-    zero G dropped."""
-    groups = _diag_groups(n, i)
-    types: dict = {}
-    for e, c in _compressed(n, m, True, (m,))[m].items():
-        a, b = e[: n - 1], e[n:]
-        # E_n = U_n, so all of a_n goes to U_n
-        for u in product(*(range(x + 1) for x in a)):
-            g = c
-            for x, y in zip(a, u):
-                g *= comb(x, y)
-            key = (*u, e[n - 1], *(x - y + z for x, y, z in zip(a, u, b)))
-            types[key] = types.get(key, 0) + g
-    return {key: g for key, g in types.items() if g}, groups
+def _partitions(n: int, r: int) -> list:
+    """(a, |a|, |a|! / prod_j a_j!) for every a = (a_1..a_n) with
+    sum_j j * a_j = r, the multinomial built as a chain of comb: a_n down
+    to a_2 are chosen and a_1 takes the weight left."""
+    if not n:
+        return [] if r else [((), 0, 1)]
+    rows = [((), 0, 1, r)]  # (a_n..a_k, their sum, their multinomial, weight left)
+    for k in range(n, 1, -1):
+        rows = [(a + (c,), s + c, coef * comb(s + c, c), rest - c * k)
+                for a, s, coef, rest in rows for c in range(rest // k + 1)]
+    return [((rest, *a[::-1]), s + rest, coef * comb(s + rest, rest)) for a, s, coef, rest in rows]
 
 
-def _term_count(types: dict, groups: list) -> int:
-    """Exact number of terms _expand gives: per type, the product over
-    groups of the number of multisets of its count."""
-    total = 0
-    for counts in types:
-        size = 1
-        for units, c in zip(groups, counts):
-            size *= comb(len(units) + c - 1, c)
-        total += size
-    return total
+def _diag_coefficients(n: int, m: int) -> dict:
+    """The types of P[n,i,m], the same for every i: (u_1..u_n, v_1..v_{n-1})
+    -> G(u, v) of the module docstring for every weight-m type with u != 0,
+    as comb(N - 1, |v|) times the multinomials of u and of v."""
+    if not m:
+        return {(0,) * (2 * n - 1): 1}
+    types = {}
+    for b in range(m if n > 1 else 1):  # the weight of v, 0 at n = 1
+        vs = _partitions(n - 1, b)
+        for u, su, cu in _partitions(n, m - b):
+            for v, sv, cv in vs:
+                g = comb(su + sv - 1, sv) * cu * cv
+                types[u + v] = -g if (m + su + sv) & 1 else g
+    return types
+
+
+def _inverse_coefficients(n: int, r: int) -> dict:
+    """The types of [t^r] 1/d(t) over E_1..E_n: a -> (-1)^(r+|a|) |a|! /
+    prod a_j! for every a of weight r."""
+    return {a: -c if (r + s) & 1 else c for a, s, c in _partitions(n, r)}
+
+
+def _monomial_counts(n: int, r: int) -> tuple[list, list]:
+    """W_{n-1} and W_n (see the module docstring) up to weight r, or up to
+    the largest weight within PRICE_STEPS steps if lower: C(n,k) prefix
+    sums with stride k for each k, the C(n-1,k) of W_{n-1} first, as
+    C(n,k) = C(n-1,k) + C(n-1,k-1)."""
+    top = min(r, PRICE_STEPS // ((1 << n) - 1))
+    w, counts = [1] + [0] * top, []
+    for shift in (0, 1):
+        for k in range(1, min(n, top) + 1):
+            for _ in range(comb(n - 1, k - shift)):
+                for x in range(k, top + 1):
+                    w[x] += w[x - k]
+        counts.append(w[:])
+    return counts
 
 
 def _require_ints(**args) -> None:
@@ -298,9 +286,12 @@ def _require_ints(**args) -> None:
             raise ValueError(f"{name} must be an int, got {value!r}")
 
 
-def _require_terms(count: int, what: str) -> None:
+def _require_terms(count: int, exact: bool, what: str) -> None:
+    """Refuse more than MAX_TERMS terms; count is exact, or else the count
+    at a lower weight, which bounds it from below (see PRICE_STEPS)."""
     if count > MAX_TERMS:
-        raise ValueError(f"{what} has {count} terms, above the bound of {MAX_TERMS}")
+        shown = count if exact else f"more than {MAX_TERMS}"
+        raise ValueError(f"{what} has {shown} terms, above the bound of {MAX_TERMS}")
 
 
 def _multisets(units: list, counts) -> dict[int, list]:
@@ -430,17 +421,19 @@ def _print_types(types: dict, groups: list, n: int, m: int) -> str:
 
 @lru_cache(maxsize=None, typed=True)
 def synth_diag(n: int, i: int, m: int) -> UniversalPolynomial:
-    """The canonical universal polynomial for (A^m)_{i,i}: the types of
-    f_m, counted against MAX_TERMS; the body is expanded when read."""
+    """The canonical universal polynomial for (A^m)_{i,i}: priced against
+    MAX_TERMS, then typed by G(u, v); the body is expanded when read."""
     _require_ints(n=n, i=i, m=m)
     require_size("n", n, 1)
     if not 1 <= i <= n:
         raise ValueError(f"index i={i} outside [n]={list(range(1, n + 1))}")
     if m < 0:
         raise ValueError("m must be nonnegative")
-    types, groups = _diag_types(n, i, m)
-    _require_terms(_term_count(types, groups), f"P[n={n},i={i},m={m}]")
-    return UniversalPolynomial(n, i, m, types)
+    # the weight-m monomials that involve i, and at m = 0 the constant
+    low, high = _monomial_counts(n, m)
+    top = len(high) - 1
+    _require_terms(high[top] - low[top] if m else 1, top == m, f"P[n={n},i={i},m={m}]")
+    return UniversalPolynomial(n, i, m, _diag_coefficients(n, m))
 
 
 def eval_universal(U: UniversalPolynomial, table, ring: Ring):
@@ -580,9 +573,12 @@ def _lift(plan: tuple, table, k: int) -> tuple:
     group times k - 1 (over Z, times the table's largest |coordinate|), so
     every coefficient read back is at most M = sum of shape.bound[D] * B^D,
     and w = M.bit_length() + 1 gives 2^(w-1) > M.  Each packing is kept in
-    table.lifts, by w, for every plan and i that meets it."""
+    table.lifts, by w, for every plan and i that meets it, beside the
+    height it was made with (k - 1, or the largest |coordinate| over Z,
+    found once per table)."""
     masks, shape = plan
-    height = k - 1 if k else max([abs(c) for a in table.values.values() for c in a])
+    first = next(iter(table.lifts.values()), None)
+    height = k - 1 if k else first[2] if first else max([abs(c) for a in table.values.values() for c in a])
     top, bound = height * max(map(len, masks), default=0), 0
     for c in reversed(shape.bound):
         bound = bound * top + c
@@ -595,8 +591,8 @@ def _lift(plan: tuple, table, k: int) -> tuple:
                 a0, a1, a2, a3, a4, a5 = a0 % k, a1 % k, a2 % k, a3 % k, a4 % k, a5 % k
             xs[mask] = a0 + (a1 << w) + (a3 << w2) + (a5 << w3)
             ys[mask] = a0 + (a2 << w) + (a4 << w2)
-        packed = table.lifts[w] = (xs, ys)
-    return (w, *packed)
+        packed = table.lifts[w] = (xs, ys, height)
+    return w, packed[0], packed[1]
 
 
 def _digits(total: int, w: int) -> tuple:
@@ -678,12 +674,14 @@ def synth_offdiag(n: int, i: int, j: int, m: int) -> OffDiagCertificate:
         raise ValueError("m must be nonnegative")
     quasi = [(k, sign, I, J) for k, sign, I, J in _quasi_terms(n, i, j) if k <= m]
     # the coefficients of 1/d(t) at t^(m-k) for k >= 1, as every P has
-    # |P| >= 2; their types are their exponent vectors over the E_k, whose
-    # units are all size-k subsets
-    types = _compressed(n, max(m - 1, 0), False, {m - k for k, *_ in quasi})
-    groups = _units_by_size(n, bool)
-    count = sum(_term_count(types[m - k], groups) for k, *_ in quasi)
-    _require_terms(count, f"certificate for (n={n},i={i},j={j},m={m})")
+    # |P| >= 2, each with every weight-(m-k) monomial as a term; their
+    # types are their exponent vectors over the E_k, whose units are all
+    # size-k subsets
+    weights = _monomial_counts(n, max(m - 1, 0))[1]
+    top = len(weights) - 1
+    count = sum(weights[min(m - k, top)] for k, *_ in quasi)
+    _require_terms(count, top >= m - 1, f"certificate for (n={n},i={i},j={j},m={m})")
+    types = {m - k: _inverse_coefficients(n, m - k) for k, *_ in quasi}
     terms = [(sign, m - k, (I, J)) for k, sign, I, J in quasi]
     terms.sort(key=lambda t: (len(t[2][0]), t[2][0].members(), t[2][1].members()))
     return OffDiagCertificate(n, i, j, m, tuple(terms), types)

@@ -253,3 +253,79 @@ def offdiag_oracle(n: int, i: int, j: int, m: int) -> tuple:
     ]
     terms.sort(key=lambda t: (len(t[1][0]), t[1][0].members(), t[1][1].members()))
     return tuple(terms)
+
+
+def compressed(n: int, m: int, with_f: bool, orders) -> dict:
+    """Independent oracle of the closed-form coefficients: [t^k] a(t) / d(t)
+    for each k in orders (all at most m), with a(t) = 1 unless with_f, as
+    {exponent vector: coefficient} over E_1..E_n and then, if with_f,
+    F_1..F_{n-1}, by the order-n recurrence f_k = a_k - sum_j d_j f_{k-j}.
+    The recurrence runs on packed vectors: field j - 1 holds the exponent
+    of E_j and field n + k - 1 that of F_k, each m.bit_length() bits wide,
+    which holds every exponent of a term of weight at most m.  Only the
+    last n orders and the asked ones are kept."""
+    from collections import deque
+
+    w = m.bit_length() or 1
+    last: deque = deque(maxlen=n)  # f_{k-n} .. f_{k-1}
+    kept = {}
+    for k in range(m + 1):
+        if k == 0:
+            acc = {0: 1}
+        elif with_f and k < n:
+            acc = {1 << w * (n + k - 1): -1 if k & 1 else 1}
+        else:
+            acc = {}
+        get = acc.get
+        for j in range(1, min(k, n) + 1):
+            unit, sign = 1 << w * (j - 1), -1 if j & 1 else 1
+            for mono, c in last[-j].items():
+                mono += unit
+                acc[mono] = get(mono, 0) - sign * c
+        last.append({mono: c for mono, c in acc.items() if c})
+        if k in orders:
+            kept[k] = last[-1]
+    low, fields = (1 << w) - 1, range(2 * n - 1 if with_f else n)
+    return {
+        k: {tuple(mono >> w * x & low for x in fields): c for mono, c in kept[k].items()}
+        for k in orders
+    }
+
+
+def diag_types(n: int, i: int, m: int) -> tuple:
+    """Independent oracle of the types of P[n,i,m]: (types, groups), with
+    groups from universal._diag_groups.  types maps the exponent mass
+    (u_1..u_n, v_1..v_{n-1}) put on each group to its coefficient G, the
+    sum of c * prod_k C(a_k, u_k) over the compressed terms
+    c * prod E_k^a_k F_k^b_k with v_k = a_k - u_k + b_k; zero G dropped."""
+    from itertools import product
+    from math import comb
+
+    from minorcalc.universal import _diag_groups
+
+    types: dict = {}
+    for e, c in compressed(n, m, True, (m,))[m].items():
+        a, b = e[: n - 1], e[n:]
+        # E_n = U_n, so all of a_n goes to U_n
+        for u in product(*(range(x + 1) for x in a)):
+            g = c
+            for x, y in zip(a, u):
+                g *= comb(x, y)
+            key = (*u, e[n - 1], *(x - y + z for x, y, z in zip(a, u, b)))
+            types[key] = types.get(key, 0) + g
+    return {key: g for key, g in types.items() if g}, _diag_groups(n, i)
+
+
+def term_count(types: dict, groups: list) -> int:
+    """Independent oracle of the priced term count: the number of terms
+    universal._expand gives, per type the product over groups of the
+    number of multisets of its count."""
+    from math import comb
+
+    total = 0
+    for counts in types:
+        size = 1
+        for units, c in zip(groups, counts):
+            size *= comb(len(units) + c - 1, c)
+        total += size
+    return total

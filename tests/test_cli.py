@@ -243,6 +243,25 @@ def test_out_of_range_input_is_usage_error(argv, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["synth", "3", "1", "150"], "P[n=3,i=1,m=150] has 833038995"),
+        (["synth", "8", "1", "9"], "P[n=8,i=1,m=9] has 3106828"),
+        (["synth", "2", "1", "3000", "--j", "2"], "certificate for (n=2,i=1,j=2,m=3000) has 2251500"),
+        (["synth", "2", "1", "20000", "--j", "2"], "certificate for (n=2,i=1,j=2,m=20000) has 100010000"),
+        (["synth", "3", "1", "1000000000"], "P[n=3,i=1,m=1000000000] has more than 1048576"),
+    ],
+)
+def test_synth_is_priced_before_any_table_is_built(argv, what, capsys):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert time.perf_counter() - start < 1
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", f"error: {what} terms, above the bound of 1048576\n")
+
+
+@pytest.mark.parametrize(
     "spec", ["mod:1_6", "mod: +3", "mod:x", "mod:", "mod:2:3", "footnote:x", "mod:\u0663"]
 )
 def test_malformed_ring_spec_is_usage_error(spec, capsys):

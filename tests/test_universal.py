@@ -1,20 +1,30 @@
 import hashlib
 import json
 import random
+import time
 from collections import Counter
 from contextlib import contextmanager
 from functools import lru_cache, reduce
 from itertools import product
-from math import comb
+from math import comb, factorial, prod
 from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import IntOps, OracleAlgebra, diag_oracle, minor_assignment, offdiag_oracle
+from conftest import (
+    IntOps,
+    OracleAlgebra,
+    compressed,
+    diag_oracle,
+    diag_types,
+    minor_assignment,
+    offdiag_oracle,
+    term_count,
+)
 from minorcalc.matrix import Matrix, MinorTable, Subset, all_subsets, diag_reindex, quasiprincipal_minor
-from minorcalc.poly import POLY_RING, Polynomial, pvar, qvar, var_key
-from minorcalc.rings import FootnoteAlgebra, IntegerRing, ModularRing, PrimeField, RationalField, int_modulus
+from minorcalc.poly import POLY_RING, Polynomial, _fields, _names, pvar, qvar, var_key
+from minorcalc.rings import FOOTNOTE_PRODUCT, FootnoteAlgebra, IntegerRing, ModularRing, PrimeField, RationalField, int_modulus
 from minorcalc import suites, universal
 from minorcalc.series import TruncatedSeries
 from minorcalc.suites import offdiag_series_coeffs
@@ -441,27 +451,121 @@ class TestTermBound:
     def test_count_is_the_number_of_terms(self, n):
         for i in range(1, n + 1):
             for m in range(8):
-                count = universal._term_count(*universal._diag_types(n, i, m))
+                count = term_count(*diag_types(n, i, m))
                 assert count == len(synth_diag(n, i, m).body.terms)
 
     def test_certificate_count_is_the_number_of_terms(self):
         groups = universal._units_by_size(4, bool)
         for r in range(7):
-            types = universal._compressed(4, r, False, (r,))[r]
-            assert universal._term_count(types, groups) == len(universal._expand(types, groups, 4).terms)
+            types = compressed(4, r, False, (r,))[r]
+            assert term_count(types, groups) == len(universal._expand(types, groups, 4).terms)
 
     def test_largest_accepted_and_smallest_refused(self):
         # P[8,i,8] stays under the bound; its count is taken without expanding
-        assert universal._term_count(*universal._diag_types(8, 1, 8)) == 715152
+        assert term_count(*diag_types(8, 1, 8)) == 715152
         assert 715152 <= universal.MAX_TERMS
         for args, count in (((8, 1, 9), 3106828), ((7, 1, 10), 3340076), ((5, 1, 20), 154394626)):
-            assert universal._term_count(*universal._diag_types(*args)) == count
+            assert term_count(*diag_types(*args)) == count
             with pytest.raises(ValueError, match=f"{count} terms"):
                 synth_diag.__wrapped__(*args)
 
     def test_certificate_bound(self):
         with pytest.raises(ValueError, match="certificate"):
             synth_offdiag.__wrapped__(8, 1, 2, 9)
+
+
+class TestClosedForm:
+    """The closed forms of synthesis against the recurrence oracles."""
+
+    # the first m at which P[n,i,m] is refused, for n = 3..8
+    FIRST_REFUSED = {3: 46, 4: 19, 5: 13, 6: 11, 7: 10, 8: 9}
+
+    @pytest.mark.parametrize("n, m_max", [(1, 12), (2, 12), (3, 12), (4, 12), (5, 8), (6, 8), (7, 6), (8, 6)])
+    def test_types_match_the_recurrence(self, n, m_max):
+        for m in range(m_max + 1):
+            for i in {1, n}:
+                assert synth_diag.__wrapped__(n, i, m).types == diag_types(n, i, m)[0]
+            if n > 1:
+                want = compressed(n, m, False, range(m))
+                assert synth_offdiag.__wrapped__(n, 1, 2, m).types == {r: want[r] for r in range(max(m - n + 1, 0), m)}
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+    def test_priced_count_is_the_term_count_of_the_types(self, n):
+        # up to the first refused m (m = 200 at n = 2, whose first refused
+        # m, 2047, is priced alone)
+        m_top = self.FIRST_REFUSED.get(n, 200)
+        diag, every = universal._diag_groups(n, 1), universal._units_by_size(n, bool)
+        low, high = universal._monomial_counts(n, m_top)
+        assert len(high) == len(low) == m_top + 1
+        for m in range(1, m_top + 1):
+            assert high[m] - low[m] == term_count(universal._diag_coefficients(n, m), diag)
+            assert high[m] == term_count(universal._inverse_coefficients(n, m), every)
+        if n > 2:
+            assert high[m_top] - low[m_top] > universal.MAX_TERMS >= high[m_top - 1] - low[m_top - 1]
+        else:
+            low, high = universal._monomial_counts(2, 2047)
+            assert high[2047] - low[2047] > universal.MAX_TERMS >= high[2046] - low[2046]
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_the_price_cap_lies_past_every_first_refusal(self, n):
+        # past PRICE_STEPS a count is priced at the cap's weight, a lower
+        # bound: it must already refuse there, for P[n,i,m] and for the
+        # smallest certificate (one term, of order m - 1)
+        low, high = universal._monomial_counts(n, 10**9)
+        top = len(high) - 1
+        assert top == universal.PRICE_STEPS // (2**n - 1)
+        assert high[top] - low[top] > universal.MAX_TERMS and high[top - 1] > universal.MAX_TERMS
+
+    def test_a_request_past_the_cap_is_refused_without_its_exact_count(self):
+        for call in (lambda: synth_diag.__wrapped__(3, 1, 10**9), lambda: synth_offdiag.__wrapped__(2, 1, 2, 10**9)):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="has more than 1048576 terms, above the bound of 1048576"):
+                call()
+            assert time.perf_counter() - start < 1
+        # at n = 1 every count is 1, past the cap too
+        assert synth_diag.__wrapped__(1, 1, 10**7).types == {(10**7,): 1}
+
+    def test_from_json_prices_before_it_synthesizes(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"\(n=3,i=1,j=2,m=1000000\) has more than 1048576 terms"):
+            OffDiagCertificate.from_json(json.dumps({"n": 3, "i": 1, "j": 2, "m": 1000000, "terms": []}))
+        assert time.perf_counter() - start < 1
+
+
+_body_args = st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n), st.integers(0, 7)))
+
+
+@settings(deadline=None, max_examples=40)
+@given(_body_args)
+def test_every_term_of_the_body_has_the_closed_form(args):
+    # the coefficient of prod p_S^(e_S) is (-1)^(m+N) deg_i (N-1)! / prod e_S!,
+    # N the total degree and deg_i that on the p_S with i in S, and the
+    # terms are all W_n(m) - W_{n-1}(m) weight-m monomials that involve i
+    n, i, m = args
+    body = synth_diag.__wrapped__(n, i, m).body
+    subsets = {name: s for s, name in universal._p_names(n).items()}
+    low, high = universal._monomial_counts(n, m)
+    assert len(body.terms) == (high[m] - low[m] if m else 1)
+    for mono, coeff in body.terms.items():
+        exps = [(subsets[_names[x]], e) for x, e in _fields(mono)]
+        N, deg_i = sum(e for _, e in exps), sum(e for s, e in exps if i in s)
+        assert sum(len(s) * e for s, e in exps) == m and (deg_i or not m)
+        want = (-1) ** (m + N) * deg_i * factorial(N - 1) // prod(factorial(e) for _, e in exps) if m else 1
+        assert coeff == want
+
+
+def test_the_only_caches_are_those_the_synth_workload_knows():
+    # the synth workload clears synth_diag and synth_offdiag before each
+    # pass and the others hold no synthesized result; a new cache would
+    # keep its passes warm
+    cached = set()
+    for name, value in vars(universal).items():
+        if getattr(value, "__module__", None) == universal.__name__:
+            if hasattr(value, "cache_info"):
+                cached.add(name)
+            if isinstance(value, type):
+                cached |= {f"{name}.{a}" for a, v in vars(value).items() if hasattr(v, "cache_info")}
+    assert cached == {"_p_names", "_p_units", "_diag_groups", "synth_diag", "synth_offdiag", "_shape"}
 
 
 def test_synthesis_digest_is_pinned():
@@ -650,6 +754,45 @@ def test_algebra_lift_matches_the_ring_op_branch_at_the_bound(k, n, m, data):
 
 
 class TestLift:
+    def test_the_product_table_gives_the_basis_order_and_y3(self):
+        # _lift maps a to a0 + a1 t + a3 t^2 + a5 t^3 and a0 + a2 u + a4 u^2
+        # and reads a5 back as x^3 - y^3: it needs the basis
+        # (1, x, y, x^2, y^2, x^3) and y^3 = -x^3, derived here from the
+        # table alone, so that a reordered table fails
+        def mul(a, b):
+            return tuple(sum(sign * a[x] * b[y] for x, y, sign in row) for row in FOOTNOTE_PRODUCT)
+
+        e = [tuple(int(r == c) for c in range(6)) for r in range(6)]
+        zero = (0,) * 6
+        assert all(mul(e[0], b) == mul(b, e[0]) == b for b in e)
+        for g, want in ((e[1], [e[1], e[3], e[5]]), (e[2], [e[2], e[4], tuple(-c for c in e[5])])):
+            powers = [g]
+            while len(powers) < 4:
+                powers.append(mul(powers[-1], g))
+            assert powers == want + [zero]
+        assert mul(e[1], e[2]) == zero
+
+    def test_a_tables_height_is_found_once(self):
+        # over the algebra on Z the largest |coordinate| is kept beside the
+        # packings, so the n evaluations at each of three digit widths scan
+        # the table once
+        class Values(dict):
+            scans = 0
+
+            def values(self):
+                self.scans += 1
+                return super().values()
+
+        ring = FootnoteAlgebra(Z)
+        A = suites.random_matrix(ring, 4, random.Random(26))
+        values = Values(A.principal_minors().values)
+        table = MinorTable(4, ring, values)
+        for m in (2, 4, 6):
+            power = A.pow(m)
+            for i in range(1, 5):
+                assert eval_universal(synth_diag(4, i, m), table, ring) == power.entry(i, i)
+        assert len(table.lifts) == 3 and values.scans == 1
+
     def test_one_table_is_lifted_once_for_every_i(self, monkeypatch):
         # all i of one (n, m) meet one digit width, so the verify op's n
         # evaluations share one packing of the table; the lifts take no
