@@ -17,10 +17,20 @@ minor that is not 1. That is z^(n(n-1)/2) matrices instead of k^(n^2),
 where z is the number of zero-product pairs of Z/k (3^6 = 729 instead of
 4096 for Z/2 at n = 4).
 The report still counts the whole space of k^(n^2) matrices as scanned,
-and the candidate check still runs on every matrix enumerated. A random
-scan stops drawing a trial at its first diagonal entry that is not 1 and
-yields no matrix for it; its one RNG is reseeded for every trial, so the
-report is the same as if all n^2 entries had been drawn.
+and the candidate check still runs on every matrix enumerated.
+
+A random scan runs `trials` trials; trial idx draws from one RNG
+reseeded from f"{seed}:{idx}". Three trials in four are uniform draws. A
+uniform trial stops drawing at its first diagonal entry that is not 1
+and yields no matrix; since the RNG is reseeded for every trial, the
+report is the same as if all n^2 entries had been drawn. Every fourth
+trial (idx % 4 == 3) is upper unitriangular, and such a seed can never
+fail, over any commutative ring: A^m is upper unitriangular too, so is
+every principal submatrix of A^m (rows and columns S keep the order of
+S), and the determinant of a triangular matrix is the product of its
+diagonal, here 1. So these trials are counted as candidates with no
+violation, `trials // 4` of them, and never seeded, drawn or scanned;
+leaving them out shifts no other trial's stream.
 """
 
 from __future__ import annotations
@@ -192,14 +202,6 @@ def _pair_pruned_matrices(ring: ModularRing, n):
         yield tuple([row(entries) for row in rows])
 
 
-def _unipotent_seed(rng, n, entry):
-    a = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            a[i][j] = entry(rng)
-    return a
-
-
 def _random_rows(rng, n, entry, one, eq):
     """The rows of one trial, drawn row-major, or None at the first
     diagonal entry that is not 1: such a matrix has a 1x1 principal minor
@@ -215,8 +217,11 @@ def _random_rows(rng, n, entry, one, eq):
 
 
 def _random_matrices(ring, n, trials, seed, entry_bound):
-    # one RNG reseeded per trial from (seed, index), so the report does not
-    # depend on how the trial stream is split
+    """The uniform trials of a random scan that can be candidates: every
+    idx below `trials` with idx % 4 != 3.  Trial idx draws from one RNG
+    reseeded from the hash-stable string f"{seed}:{idx}", so skipping the
+    unitriangular trials, which `run_scan` counts, shifts no other
+    trial's stream."""
     if isinstance(ring, ModularRing):
         entry = lambda rng: rng.randrange(ring.modulus)
     else:
@@ -224,16 +229,12 @@ def _random_matrices(ring, n, trials, seed, entry_bound):
     one, eq = ring.one(), ring.eq
     rng = random.Random()
     for idx in range(trials):
-        # string seeding is hash-stable
-        rng.seed(f"{seed}:{idx}")
         if idx % 4 == 3:
-            # structured seed: unipotent upper triangular, all minors 1
-            a = _unipotent_seed(rng, n, entry)
-        else:
-            a = _random_rows(rng, n, entry, one, eq)
-            if a is None:
-                continue
-        yield tuple(map(tuple, a))
+            continue
+        rng.seed(f"{seed}:{idx}")
+        a = _random_rows(rng, n, entry, one, eq)
+        if a is not None:
+            yield tuple(map(tuple, a))
 
 
 # -- entry point ------------------------------------------------------
@@ -284,6 +285,9 @@ def run_scan(
         seed_out = seed
         matrices = _random_matrices(ring, n, trials, seed, entry_bound)
     candidates, violations = _scan_matrices(ring, n, matrices, m_max)
+    if mode == "random":
+        # every fourth trial is unitriangular: a candidate with no violation
+        candidates += trials // 4
     return ScanReport(
         ring=ring.describe(),
         n=n,

@@ -297,8 +297,11 @@ def _require_terms(count: int, exact: bool, what: str) -> None:
 def _multisets(units: list, counts) -> dict[int, list]:
     """c -> (sum, multinomial coefficient) for every multiset of c units,
     for each c in counts.  Every c up to the largest is built for all but
-    the last unit only."""
+    the last unit only, so a group of one unit builds none, whatever its
+    counts."""
     *rest, last = units
+    if not rest:
+        return {c: [(c * last, 1)] for c in counts}
     top = max(counts, default=0)
     layers = [[(0, 1)]] + [()] * top  # multisets of the units so far
     for x in rest:

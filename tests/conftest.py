@@ -234,18 +234,26 @@ def diag_oracle(n: int, i: int, m: int):
     return f[m]
 
 
-def offdiag_oracle(n: int, i: int, j: int, m: int) -> tuple:
-    """Independent certificate-terms oracle: the coefficients of 1/d(t) by
-    the same expanded recurrence, one per (i,j)-quasiprincipal pair, in
-    the certificate's order."""
+def inverse_oracle(n: int, m: int) -> tuple:
+    """The expanded coefficients g_0, ..., g_{m-1} of 1/d(t) by the
+    order-n recurrence; they depend on n and m alone."""
     from minorcalc.matrix import all_subsets
     from minorcalc.poly import Polynomial
-    from minorcalc.universal import _quasi_terms
 
     d, one = _signed_minor_sums(all_subsets(n)), [Polynomial.constant(1)]
     g: list = []
     while len(g) < m:
         g.append(_next_coeff(d, one, g))
+    return tuple(g)
+
+
+def offdiag_oracle(n: int, i: int, j: int, m: int) -> tuple:
+    """Independent certificate-terms oracle: the coefficients of 1/d(t) by
+    the same expanded recurrence, one per (i,j)-quasiprincipal pair, in
+    the certificate's order."""
+    from minorcalc.universal import _quasi_terms
+
+    g = inverse_oracle(n, m)
     terms = [
         (g[m - k] if sign > 0 else -g[m - k], (I, J))
         for k, sign, I, J in _quasi_terms(n, i, j)

@@ -4,6 +4,7 @@ import time
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import det_leibniz, schoolbook
 from minorcalc import scan
@@ -155,12 +156,51 @@ def _random_scan_oracle(spec, n, m_max, trials, seed):
 @pytest.mark.parametrize("spec", ["int", "mod:2", "mod:4", "mod:6"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_random_scan_matches_full_draw_oracle(spec, n):
-    # trials whose diagonal is not all 1 stop drawing early in the scan;
-    # the oracle draws every entry, so the two agree only if the streams do
+    # trials whose diagonal is not all 1 stop drawing early in the scan,
+    # and the unitriangular ones are counted, not drawn; the oracle draws
+    # every entry of every trial, so the two agree only if the streams do.
+    # Trial counts 45..47 end part-way through a block of four.
     for seed in (7, 2024):
-        report = run_scan(spec, n, 3, "random", trials=48, seed=seed)
-        expected = _random_scan_oracle(spec, n, 3, 48, seed)
-        assert (report.scanned, report.candidates, report.violations) == expected
+        for trials in (45, 46, 47, 48):
+            report = run_scan(spec, n, 3, "random", trials=trials, seed=seed)
+            expected = _random_scan_oracle(spec, n, 3, trials, seed)
+            assert (report.scanned, report.candidates, report.violations) == expected
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.sampled_from(["int", "mod:4", "mod:6", "mod:9"]), st.integers(1, 5), st.integers(1, 5),
+       st.data())
+def test_unitriangular_powers_have_every_principal_minor_one(spec, n, m, data):
+    # why a random scan may count its unitriangular trials without
+    # scanning them: every principal minor of A^m is 1, over Z and over
+    # rings with zero divisors alike (Leibniz and schoolbook, no scan kernel)
+    ring = ring_from_spec(spec)
+    bound = DEFAULT_ENTRY_BOUND
+    entry = st.integers(-bound, bound) if spec == "int" else st.integers(0, ring.modulus - 1)
+    a = [[data.draw(entry) if j > i else int(i == j) for j in range(n)] for i in range(n)]
+    A = B = Matrix(ring, a)
+    for _ in range(m - 1):
+        B = Matrix(ring, schoolbook(B, A))
+    for s in all_subsets(n)[1:]:
+        assert ring.eq(det_leibniz(B.submatrix(s, s)), ring.one())
+
+
+@pytest.mark.parametrize("trials", [1, 2, 3, 4, 5, 8, 47, 48])
+def test_random_scan_seeds_only_its_uniform_trials(monkeypatch, trials):
+    # the unitriangular trials, idx % 4 == 3, are never seeded; the
+    # constructor's own seed(None) is not a trial's
+    calls = []
+    seed = random.Random.seed
+
+    def counting_seed(rng, a=None, *args, **kwargs):
+        calls.append(a)
+        return seed(rng, a, *args, **kwargs)
+
+    monkeypatch.setattr(random.Random, "seed", counting_seed)
+    run_scan("mod:4", 3, 2, "random", trials=trials, seed=5)
+    seeded = [a for a in calls if a is not None]
+    assert seeded == [f"5:{idx}" for idx in range(trials) if idx % 4 != 3]
+    assert len(seeded) == trials - trials // 4
 
 
 class TestFootnoteScan:

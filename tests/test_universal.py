@@ -18,6 +18,7 @@ from conftest import (
     compressed,
     diag_oracle,
     diag_types,
+    inverse_oracle,
     minor_assignment,
     offdiag_oracle,
     term_count,
@@ -524,6 +525,14 @@ class TestClosedForm:
             assert time.perf_counter() - start < 1
         # at n = 1 every count is 1, past the cap too
         assert synth_diag.__wrapped__(1, 1, 10**7).types == {(10**7,): 1}
+
+    def test_a_one_unit_group_prints_at_any_count(self):
+        # U_1 = {[1]} is a group of one unit: its count m is printed with
+        # no multiset table up to m
+        start = time.perf_counter()
+        text = synth_diag.__wrapped__(1, 1, 10**7).serialize()
+        assert time.perf_counter() - start < 0.5
+        assert text == "P[n=1,i=1,m=10000000]\np{1}^10000000\n"
 
     def test_from_json_prices_before_it_synthesizes(self):
         start = time.perf_counter()
@@ -1239,7 +1248,7 @@ def test_bool_indices_are_refused_in_either_call_order(bools_first):
         _refuse_bools()
 
 
-_offdiag_oracle = lru_cache(maxsize=None)(offdiag_oracle)
+_inverse_oracle = lru_cache(maxsize=None)(inverse_oracle)
 
 
 _CERT_RINGS = _EVAL_RINGS
@@ -1249,17 +1258,22 @@ _CERT_RINGS = _EVAL_RINGS
 @given(st.sampled_from(_CERT_RINGS), st.integers(2, 5), st.integers(0, 6), st.data())
 def test_eval_certificate_matches_the_power_and_the_expanded_oracle(ring, n, m, data):
     # every (i, j): the entry of A^m, and Polynomial.eval of the oracle's
-    # expanded coefficients times the quasiprincipal minors
+    # expanded coefficients times the quasiprincipal minors.  A coefficient
+    # of 1/d(t) depends on its order alone, so each is evaluated once per
+    # matrix and shared by every (i, j)
     A = Matrix(ring, data.draw(_matrices(ring, n)))
     power, assignment = A.pow(m), minor_assignment(A)
+    g = [coeff.eval(assignment, ring) for coeff in _inverse_oracle(n, m)]
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if i == j:
                 continue
             want = ring.zero()
-            for coeff, (I, J) in _offdiag_oracle(n, i, j, m):
-                q = quasiprincipal_minor(A, I, J, i, j)
-                want = ring.add(want, ring.mul(coeff.eval(assignment, ring), q))
+            for k, sign, I, J in universal._quasi_terms(n, i, j):
+                if k <= m:
+                    coeff = g[m - k] if sign > 0 else ring.neg(g[m - k])
+                    q = quasiprincipal_minor(A, I, J, i, j)
+                    want = ring.add(want, ring.mul(coeff, q))
             got = eval_certificate(synth_offdiag(n, i, j, m), A)
             assert ring.eq(got, power.entry(i, j)) and ring.eq(got, want)
 
