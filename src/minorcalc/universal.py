@@ -30,12 +30,13 @@ the sum over a of weight r of (-1)^(r+|a|) |a|! / prod a_j! prod E_j^a_j,
 E_j = U_j + F_j; its types take all size-j subsets as the units of E_j,
 so it has W_n(r) terms, which synth_offdiag prices the same way.
 
-A UniversalPolynomial keeps its types.  serialize() prints from them
-with no expanded polynomial: per subset size, a table of fragments (a
-print-key part, a text such as "p{1,3}^2*p{2,3}" and a multinomial) for
-each pair (u_k, v_k) that occurs, one fragment per size for each term,
-and one int sort of the keys, which gives the text of str(body).
-eval_universal works from them too: P[n,i,m] is the sum over types of
+Printing needs no types: serialize() walks the weight-m monomials in
+the order in which str(body) prints them and gives each its closed-form
+coefficient, skipping those with deg_i = 0, and to_json() walks those of
+weight r the same way, with every p{S} counted as involving i, so that
+deg_i = N.  No expanded polynomial, print key or sort is built.
+A UniversalPolynomial keeps its types for evaluation: eval_universal
+works from them, as P[n,i,m] is the sum over types of
 G * prod_k U_k^u_k F_k^v_k.  At its first evaluation a polynomial lays
 its types out as a plan: the groups in use with their largest counts,
 the G values, and per type the slots of its factors in one flat list of
@@ -54,9 +55,9 @@ and other rings, keep the loops.
 body, the expanded polynomial, is built only when it is read; nothing
 in the package reads it, and the tests use Polynomial.eval on it as the
 oracle of eval_universal.
-A certificate keeps the types of 1/d(t), and a plan, per order; to_json
-and eval_certificate print and evaluate them as above, and from_json
-re-synthesizes.
+A certificate keeps the types of 1/d(t), and a plan, per order;
+eval_certificate evaluates them as above, to_json prints each signed
+order once, and from_json re-synthesizes.
 """
 
 from __future__ import annotations
@@ -112,7 +113,7 @@ class UniversalPolynomial(Record):
     @cached_property
     def body(self) -> Polynomial:
         """The expanded polynomial, built at its first read.  Printing and
-        evaluation work from the types and never read it."""
+        evaluation never read it."""
         return _expand(self.types, _diag_groups(self.n, self.i), self.n)
 
     @cached_property
@@ -125,9 +126,9 @@ class UniversalPolynomial(Record):
         return f"P[n={self.n},i={self.i},m={self.m}]"
 
     def serialize(self) -> str:
-        """The header and str(self.body), printed from the types."""
-        groups = _diag_groups(self.n, self.i)
-        return f"{self.header()}\n{_print_types(self.types, groups, self.n, self.m)}\n"
+        """The header and str(self.body), printed by _print_walk from the
+        closed form of each term, with no types and no body."""
+        return f"{self.header()}\n{_print_walk(self.n, self.m, 1, 1 << self.i - 1)}\n"
 
 
 class OffDiagCertificate(Record):
@@ -145,13 +146,11 @@ class OffDiagCertificate(Record):
         object.__setattr__(self, "types", types)
 
     def to_json(self) -> str:
-        """The certificate as JSON, each signed coefficient printed once
-        from its types, as Polynomial.__str__ prints it."""
-        groups = _units_by_size(self.n, bool)
-        texts = {
-            (sign, r): _print_types({t: sign * g for t, g in self.types[r].items()}, groups, self.n, r)
-            for sign, r in {term[:2] for term in self.terms}
-        }
+        """The certificate as JSON, each signed coefficient printed once,
+        as Polynomial.__str__ prints it, by _print_walk from the closed
+        form of each term, with no types."""
+        every = (1 << self.n) - 1
+        texts = {(sign, r): _print_walk(self.n, r, sign, every) for sign, r in {term[:2] for term in self.terms}}
         payload = {
             "n": self.n,
             "i": self.i,
@@ -296,9 +295,9 @@ def _require_terms(count: int, exact: bool, what: str) -> None:
 
 def _multisets(units: list, counts) -> dict[int, list]:
     """c -> (sum, multinomial coefficient) for every multiset of c units,
-    for each c in counts.  Every c up to the largest is built for all but
-    the last unit only, so a group of one unit builds none, whatever its
-    counts."""
+    for each c in counts, for _expand.  Every c up to the largest is built
+    for all but the last unit only, so a group of one unit builds none,
+    whatever its counts."""
     *rest, last = units
     if not rest:
         return {c: [(c * last, 1)] for c in counts}
@@ -344,82 +343,101 @@ class _Prefix(dict):
         return text
 
 
-def _print_types(types: dict, groups: list, n: int, m: int) -> str:
-    """str(_expand(types, groups, n)) for a polynomial of weight m in the
-    p{S} of [n], printed straight from the types.
+def _print_walk(n: int, m: int, sign: int, bit: int) -> str:
+    """sign times the weight-m polynomial in the p{S} of [n] whose term
+    prod p{S}^e_S has the coefficient (-1)^(m+N) deg N! / (N prod e_S!),
+    N its total degree and deg its degree in the p{S} with S & bit, as
+    Polynomial.__str__ prints it; terms with deg = 0 are left out.  With
+    sign 1 and the bit of i it is P[n,i,m] (see the module docstring);
+    with every bit set deg = N, and it is sign [t^r] 1/d(t) at m = r.
 
-    As in Polynomial.__str__, terms sort by one int print key: the total
-    degree above one field per p{S}, the smallest under var_key most
-    significant.  A size-k field is (m // k).bit_length() bits wide, which
-    holds any exponent of a weight-m term, so the fields of each size form
-    one run.  A type's multisets of the size-k units, from all groups of
-    that size, make one fragment: its key, its text such as
-    "p{1,3}^2*p{2,3}" and its multinomial, tabled per size and counts.  A
-    term is one fragment per size: its key is the OR of theirs and its
-    text their join, so no monomial is built or decoded."""
-    # size k -> (base, width, names by field, {field in place: "v" or "v^e"})
-    runs, place, top = {}, {}, 0
-    for s, name in reversed(_p_names(n).items()):
-        k = len(s)
-        if k not in runs:
-            runs[k] = (top, max(m // k, 1).bit_length(), [], {})
-        runs[k][2].append(name)
-        place[s.mask] = 1 << top
-        top += runs[k][1]
-    sizes: dict = {}  # size k -> the groups of that size
-    for g, masks in enumerate(groups):
-        sizes.setdefault(masks[0].bit_count(), []).append(g)
-    by_size = sorted(sizes.items(), reverse=True)
-    layers = [
-        _multisets([place[mask] for mask in masks], {t[g] for t in types})
-        for g, masks in enumerate(groups)
-    ]
+    The terms are emitted in print order, graded lex under var_key: N
+    from m down to ceil(m/n), then the exponents of the p{S} in canonical
+    order (by size, then lex), each from its largest value down.  A state
+    (j, c, w) leaves c units of weight w to the p{S} from the j-th on,
+    whose sizes run from s_j to n, so it is feasible exactly when
+    c s_j <= w <= c n; each exponent comes from the range that keeps that
+    so, and no branch dies.  Three tails are emitted as one batch each:
+    one unit left (the p{S} of size w from the j-th on), w = c s_j (the
+    multisets of c units on the rest of the size-s_j block), and only
+    sizes n - 1 and n left (their counts forced: the multisets on the rest
+    of the size-(n-1) block, times a power of p{1..n}, which meets every
+    bit).  The multinomial N! / prod e_S! is a chain of comb along the
+    path.  Block multisets are tabled per call by (first p{S}, count) and
+    freed with it: the walk keeps its state on a stack and no function
+    refers to itself, so a call leaves no reference cycle."""
+    if not m:
+        return "1" if sign > 0 else "-1"
+    subsets = _p_names(n)
+    names = list(subsets.values())
+    sizes = [len(s) for s in subsets]
+    hits = [1 if s.mask & bit else 0 for s in subsets]
+    starts = {}  # size -> index of its first p{S}
+    for j, s in enumerate(sizes):
+        starts.setdefault(s, j)
+    ends = [starts.get(s + 1, len(sizes)) for s in sizes]  # one past the block of each
+    blocks: dict = {}  # (j, c) -> [(text, multinomial, deg)] for the multisets of c units on j..ends[j]
 
-    def fragment(k, counts):
-        base, width, run, words = runs[k]
-        entries = [(0, 1)]
-        for g, c in zip(sizes[k], counts):
-            entries = [(k1 + k2, c1 * c2) for k1, c1 in entries for k2, c2 in layers[g][c]]
-        table = []
-        for key, coef in entries:
-            factors, rest = [], key >> base
-            while rest:
-                shift = (rest.bit_length() - 1) // width * width
-                e = rest >> shift
-                bits = e << shift
-                rest ^= bits
-                word = words.get(bits)
-                if word is None:
-                    name = run[shift // width]
-                    word = words[bits] = name if e == 1 else f"{name}^{e}"
-                factors.append(word)
-            table.append((key, "*".join(factors), coef))
-        return sorted(table, reverse=True)
+    def block(j: int, c: int) -> list:
+        got = blocks.get((j, c))
+        if got is None:
+            # (j, c) needs (j + 1, every count up to c), and so on to the block's end
+            end = ends[j]
+            for x in range(end - 1, j - 1, -1):
+                name, hit = names[x], hits[x]
+                for cc in range(1, c + 1) if x > j else (c,):
+                    if (x, cc) in blocks:
+                        continue
+                    entries, k = [(name if cc == 1 else f"{name}^{cc}", 1, cc * hit)], 1
+                    if x + 1 < end:
+                        for e in range(cc - 1, 0, -1):
+                            k = k * (e + 1) // (cc - e)  # comb(cc, e)
+                            head, d0 = f"{name}*" if e == 1 else f"{name}^{e}*", e * hit
+                            entries += [(head + t, k * mu, d0 + d) for t, mu, d in blocks[x + 1, cc - e]]
+                        entries += blocks[x + 1, cc]
+                    blocks[x, cc] = entries
+            got = blocks[j, c]
+        return got
 
-    tables: dict = {}
     prefix = _Prefix()
-    terms: list = []  # (print key, " + 3*p{1}^2*p{2,3}")
-    for counts, g in types.items():
-        factors = []  # by descending size, so each is joined in front
-        for k, gs in by_size:
-            c = tuple(counts[x] for x in gs)
-            if any(c):
-                table = tables.get((k, c))
-                if table is None:
-                    table = tables[k, c] = fragment(k, c)
-                factors.append(table)
-        if not factors:
-            terms.append((0, (" - " if g < 0 else " + ") + str(abs(g))))
-            continue
-        # the tables descend by key and the more significant fragment
-        # varies slowest, so each type's terms come out as one sorted run
-        partial = [(sum(counts) << top, "", g)]
-        for factor in factors[:-1]:
-            partial = [(k2 | k1, f"*{t2}{t1}", c2 * c1) for k2, t2, c2 in factor for k1, t1, c1 in partial]
-        terms += [(k2 | k1, f"{prefix[c2 * c1]}{t2}{t1}") for k2, t2, c2 in factors[-1] for k1, t1, c1 in partial]
-    terms.sort(reverse=True)
-    text = "".join([part for _, part in terms])
-    return text[3:] if text[1] == "+" else "-" + text[3:]
+    out: list = []
+    for total in range(m, -(-m // n) - 1, -1):
+        k = sign if (m + total) & 1 == 0 else -sign
+        stack = [(0, total, m, 1, 0, "")]
+        while stack:
+            j, c, w, mult, deg, text = stack.pop()
+            s = sizes[j]
+            if c == 1 or w == c * s:
+                q = k * mult
+                tail = block(j if w == c * s else starts[w], c)
+                out += [f"{prefix[q * mu * (deg + d) // total]}{text}{t}" for t, mu, d in tail if deg + d]
+            elif s == n - 1:
+                # b >= 1 units of p{1..n}, which holds every index, so deg > 0
+                b = w - c * s
+                q, deg = k * mult * comb(c, b), deg + b
+                power = names[-1] if b == 1 else f"{names[-1]}^{b}"
+                if b == c:
+                    out.append(f"{prefix[q * deg // total]}{text}{power}")
+                else:
+                    out += [f"{prefix[q * mu * (deg + d) // total]}{text}{t}*{power}" for t, mu, d in block(j, c - b)]
+            else:
+                # the children in reverse print order: all of this block at
+                # exponent 0, then for each p{S} of the block from the last,
+                # its exponent e >= 1 (and 0 before it), largest e last
+                end = ends[j]
+                after = sizes[end]
+                high = min(c - 1, (c * n - w) // (n - s))
+                if c * after <= w:
+                    stack.append((end, c, w, mult, deg, text))
+                low = max(1, -((w - c * after) // (after - s)))  # for the block's last p{S}
+                for x in range(end - 1, j - 1, -1):
+                    hit, name = hits[x], names[x]
+                    for e in range(low, high + 1):
+                        stack.append((x + 1, c - e, w - e * s, mult * comb(c, e), deg + e * hit,
+                                      f"{text}{name}*" if e == 1 else f"{text}{name}^{e}*"))
+                    low = 1
+    joined = "".join(out)
+    return joined[3:] if joined[1] == "+" else "-" + joined[3:]
 
 
 @lru_cache(maxsize=None, typed=True)

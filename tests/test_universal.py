@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import random
@@ -5,7 +6,7 @@ import time
 from collections import Counter
 from contextlib import contextmanager
 from functools import lru_cache, reduce
-from itertools import product
+from itertools import permutations, product
 from math import comb, factorial, prod
 from unittest.mock import patch
 
@@ -627,6 +628,49 @@ class TestDirectPrint:
         assert hash(synth_diag.__wrapped__(3, 2, 4)) == hash(synth_diag(3, 2, 4))
 
 
+class TestPrintWalk:
+    """The printer's edges against the expanded recurrences, past the
+    m <= 7 of the hypothesis tests: one p{S} (n = 1), the forced sizes
+    n - 1 and n (all of n = 2, and n = 3), and the one-unit and
+    whole-block tails at counts up to m."""
+
+    @pytest.mark.parametrize("n, m_max", [(1, 12), (2, 40), (3, 16), (4, 10)])
+    def test_serialize_is_the_recurrence_at_every_i(self, n, m_max):
+        for i in range(1, n + 1):
+            for m in range(m_max + 1):
+                U = synth_diag.__wrapped__(n, i, m)
+                assert U.serialize() == f"{U.header()}\n{diag_oracle(n, i, m)}\n"
+
+    @pytest.mark.parametrize("n, r_max", [(2, 12), (3, 8), (4, 6)])
+    def test_certificate_coefficients_are_the_recurrence_with_either_sign(self, n, r_max):
+        g, every = inverse_oracle(n, r_max + 1), (1 << n) - 1
+        for r in range(r_max + 1):
+            for sign in (1, -1):
+                assert universal._print_walk(n, r, sign, every) == str(sign * g[r])
+        for m in range(1, r_max + 2):
+            for i, j in permutations(range(1, n + 1), 2):
+                cert = synth_offdiag.__wrapped__(n, i, j, m)
+                assert coeff_texts(cert) == [str(coeff) for coeff, _ in offdiag_oracle(n, i, j, m)]
+
+    def test_printing_leaves_no_cyclic_garbage(self):
+        # a walk whose state or tables sat in a reference cycle would keep
+        # each call's tables alive until the cyclic collector ran, and
+        # raise the synth workload's peak RSS
+        gc.collect()
+        gc.disable()
+        try:
+            synth_diag.__wrapped__(5, 2, 6).serialize()
+            assert gc.collect() == 0
+            text = synth_offdiag.__wrapped__(5, 1, 3, 5).to_json()
+            own = gc.collect()
+            # json.dumps with an indent leaves its encoder's closures in
+            # cycles: to_json may leave those and nothing more
+            json.dumps(json.loads(text), indent=2)
+            assert own == gc.collect()
+        finally:
+            gc.enable()
+
+
 def _entries(ring):
     """Matrix entries over ring: ints up to 2^70 over Z, residues over Z/k
     and F_p, fractions in [-9, 9] with denominators up to 9 over Q,
@@ -1176,8 +1220,8 @@ class TestCertificateText:
         signed = {(r, sign) for sign, r, _ in cert.terms}
         assert len(signed) == len(set(want)) < len(cert.terms)
         printed = []
-        print_types = universal._print_types
-        monkeypatch.setattr(universal, "_print_types", lambda *a: printed.append(a) or print_types(*a))
+        print_walk = universal._print_walk
+        monkeypatch.setattr(universal, "_print_walk", lambda *a: printed.append(a) or print_walk(*a))
         monkeypatch.setattr(Polynomial, "__str__", lambda f: pytest.fail("printed by Polynomial.__str__"))
         assert coeff_texts(cert) == want
         assert len(printed) == len(signed)
